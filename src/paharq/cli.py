@@ -17,8 +17,9 @@ mc-verify closed forms vs protocol-level simulation with z-scores
 Reproducibility: every row carries the master seed and the code version;
 per-row Monte Carlo seeds are derived from the master seed and the row's
 coordinate string, so a row's bytes do not depend on grid composition.
-Exit codes: 0 all rows ok, 1 usage/config error, 2 some rows failed or
-infeasible (annotated in the `error` column).
+Exit codes: 0 all rows ok, 1 usage/config error, 2 some rows failed,
+were infeasible or hit an optimizer failure (annotated in the `error`
+column).
 """
 
 import argparse
@@ -31,7 +32,9 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .allocation import (
+    BracketError,
     ClosedFormDomainError,
+    QuadratureError,
     avg_power_given_p1,
     closed_form_avg_power,
     optimal_p1_closed_form,
@@ -49,6 +52,7 @@ from .benchmarks import (
     zeta_rtd_closed,
 )
 from .channel import (
+    SPEED_OF_LIGHT,
     GainQuantile,
     QuantileMethod,
     cond_cdf_g2,
@@ -83,6 +87,11 @@ COLUMNS = [
 
 DELTA_DEFAULT = 5e-3        # processing delay [s]
 FC_DEFAULT = 2.68e9         # carrier frequency [Hz]
+
+# failures that turn one row into an annotated error row instead of
+# aborting the sweep
+_ROW_ERRORS = (BracketError, QuadratureError, ClosedFormDomainError,
+               InfeasibleError, DegenerateConditioningError, ValueError)
 
 DEFAULTS = {
     "fig3": {
@@ -180,59 +189,68 @@ def _load_config(name: str, path: str | None, overrides: dict) -> dict:
     return cfg
 
 
-def _exit_code(rows) -> int:
-    return 2 if any(r["error"] for r in rows) else 0
+def _binomial_se(p: float, n: int) -> float:
+    return math.sqrt(max(p * (1 - p), 1e-300) / n)
 
 
 # ---------------------------------------------------------------------------
-# fig3: optimized required power vs outage target
+# optimized sweeps: fig3 (vs outage target), fig5 (vs vehicle speed) and
+# headline (gains over no retransmission) share one solve per point
 # ---------------------------------------------------------------------------
 
-def _fig3_point(args):
-    eps, rate, sigma, protocol_name, methods = args
-    protocol = Protocol(protocol_name)
-    cfg = HarqConfig(protocol=protocol, rate=rate, eps=eps)
+def _solve_rows(fields, cfg, sigma, methods, no_retx=None, table=None):
+    """One row per method (`closed-form` or `numeric-<quantile method>`).
+
+    The exact quantile table is built at most once, or taken from `table`;
+    a failing method becomes a row with its `error` column set.
+    """
     rows = []
-    no_retx = no_retx_required_power(eps, rate)
-    quantile = None
-    closed_db = numeric_db = None
     for method in methods:
-        row = _row(figure="fig3", eps=eps, rate=rate, sigma=sigma,
-                   protocol=protocol.value, method=method)
+        row = _row(method=method, **fields)
         try:
             if method == "closed-form":
                 sol = optimal_p1_closed_form(cfg, sigma)
             elif method.startswith("numeric-"):
                 qmethod = QuantileMethod(method.removeprefix("numeric-"))
-                if qmethod is QuantileMethod.EXACT and quantile is None:
-                    quantile = GainQuantile(eps, sigma, qmethod)
-                sol = optimal_p1_numeric(
-                    cfg, sigma, qmethod,
-                    quantile=quantile if qmethod is QuantileMethod.EXACT else None)
+                quantile = None
+                if qmethod is QuantileMethod.EXACT:
+                    if table is None:
+                        table = GainQuantile(cfg.eps, sigma, qmethod)
+                    quantile = table
+                sol = optimal_p1_numeric(cfg, sigma, qmethod, quantile=quantile)
             else:
                 raise ValueError(f"unknown method {method!r}")
             row.update(p1=sol.p1, p1_db=sol.p1_db, avg_power=sol.avg_power,
-                       avg_power_db=sol.avg_power_db,
-                       gain_db_vs_no_retx=_db(no_retx) - sol.avg_power_db)
-            if method == "closed-form":
-                closed_db = sol.avg_power_db
-            elif method == "numeric-exact":
-                numeric_db = sol.avg_power_db
-        except (ClosedFormDomainError, InfeasibleError, ValueError) as exc:
+                       avg_power_db=sol.avg_power_db)
+            if no_retx is not None:
+                row["gain_db_vs_no_retx"] = _db(no_retx) - sol.avg_power_db
+        except _ROW_ERRORS as exc:
             row["error"] = str(exc)
         rows.append(row)
-    baseline = _row(figure="fig3", eps=eps, rate=rate, sigma=sigma,
-                    protocol=protocol.value, method="no-retx",
-                    avg_power=no_retx, avg_power_db=_db(no_retx),
-                    gain_db_vs_no_retx=0.0)
-    rows.append(baseline)
-    if closed_db is not None and numeric_db is not None:
+    return rows
+
+
+def _no_retx_row(no_retx, **fields):
+    return _row(method="no-retx", avg_power=no_retx, avg_power_db=_db(no_retx),
+                gain_db_vs_no_retx=0.0, **fields)
+
+
+def _fig3_point(args):
+    eps, rate, sigma, protocol_name, methods = args
+    protocol = Protocol(protocol_name)
+    fields = dict(figure="fig3", eps=eps, rate=rate, sigma=sigma,
+                  protocol=protocol.value)
+    no_retx = no_retx_required_power(eps, rate)
+    rows = _solve_rows(fields, HarqConfig(protocol=protocol, rate=rate, eps=eps),
+                       sigma, methods, no_retx)
+    solved = {r["method"]: r["avg_power_db"] for r in rows if not r["error"]}
+    if "closed-form" in solved and "numeric-exact" in solved:
         for row in rows:
             if row["method"] == "closed-form":
-                row["z_score"] = None
-                row["check"] = "closed_vs_numeric_gap_db"
-                row["reference"] = numeric_db
-                row["estimate"] = closed_db
+                row.update(check="closed_vs_numeric_gap_db",
+                           reference=solved["numeric-exact"],
+                           estimate=solved["closed-form"])
+    rows.append(_no_retx_row(no_retx, **fields))
     return rows
 
 
@@ -243,6 +261,44 @@ def run_fig3(config: dict, workers: int = 1):
               for eps in _as_list(config["eps"])
               for proto in config["protocols"]]
     return _map_rows(_fig3_point, points, workers)
+
+
+def _fig5_point(args):
+    v_kmh, da_wl, rate, eps, delta, f_c, protocol_name, methods = args
+    protocol = Protocol(protocol_name)
+    wavelength = SPEED_OF_LIGHT / f_c
+    sigma = sigma_from_geometry(v_kmh / 3.6, delta, f_c, da_wl * wavelength)
+    fields = dict(figure="fig5", eps=eps, rate=rate, sigma=sigma, v_kmh=v_kmh,
+                  d_a_wavelengths=da_wl, protocol=protocol.value)
+    return _solve_rows(fields, HarqConfig(protocol=protocol, rate=rate, eps=eps),
+                       sigma, methods)
+
+
+def run_fig5(config: dict, workers: int = 1):
+    methods = list(config["methods"])
+    points = [(v, da, float(config["rate"]), float(config["eps"]),
+               float(config["delta"]), float(config["f_c"]), proto, methods)
+              for da in _as_list(config["d_a_wavelengths"])
+              for v in _as_list(config["v_kmh"])
+              for proto in config["protocols"]]
+    return _map_rows(_fig5_point, points, workers)
+
+
+def run_headline(config: dict):
+    eps = float(config["eps"])
+    rate = float(config["rate"])
+    sigma = float(config["sigma"])
+    fields = dict(figure="headline", eps=eps, rate=rate, sigma=sigma)
+    no_retx = no_retx_required_power(eps, rate)
+    rows = [_no_retx_row(no_retx, protocol="none", **fields)]
+    # both protocols share one exact quantile table
+    table = GainQuantile(eps, sigma, QuantileMethod.EXACT)
+    for protocol in (Protocol.RTD, Protocol.INR):
+        rows += _solve_rows(dict(fields, protocol=protocol.value),
+                            HarqConfig(protocol=protocol, rate=rate, eps=eps),
+                            sigma, ("closed-form", "numeric-exact"), no_retx,
+                            table)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +328,7 @@ def _fig4_point(args):
                        n_denominator=report.n_round2, seed=seed,
                        outage_exact=open_loop_outage_exact(P, rate, sigma,
                                                            protocol))
-    except (InfeasibleError, DegenerateConditioningError, ValueError) as exc:
+    except _ROW_ERRORS as exc:
         row["error"] = str(exc)
     no_retx = no_retx_required_power(eps, rate)
     rows.append(_row(figure="fig4", eps=eps, rate=rate, sigma=sigma,
@@ -291,212 +347,132 @@ def run_fig4(config: dict, master_seed: int, workers: int = 1):
 
 
 # ---------------------------------------------------------------------------
-# fig5: optimized required power vs vehicle speed
-# ---------------------------------------------------------------------------
-
-def _fig5_point(args):
-    v_kmh, da_wl, rate, eps, delta, f_c, protocol_name, methods = args
-    protocol = Protocol(protocol_name)
-    wavelength = 299792458.0 / f_c
-    sigma = sigma_from_geometry(v_kmh / 3.6, delta, f_c, da_wl * wavelength)
-    cfg = HarqConfig(protocol=protocol, rate=rate, eps=eps)
-    rows = []
-    quantile = None
-    for method in methods:
-        row = _row(figure="fig5", eps=eps, rate=rate, sigma=sigma,
-                   v_kmh=v_kmh, d_a_wavelengths=da_wl,
-                   protocol=protocol.value, method=method)
-        try:
-            if method == "closed-form":
-                sol = optimal_p1_closed_form(cfg, sigma)
-            else:
-                qmethod = QuantileMethod(method.removeprefix("numeric-"))
-                if qmethod is QuantileMethod.EXACT and quantile is None:
-                    quantile = GainQuantile(eps, sigma, qmethod)
-                sol = optimal_p1_numeric(
-                    cfg, sigma, qmethod,
-                    quantile=quantile if qmethod is QuantileMethod.EXACT else None)
-            row.update(p1=sol.p1, p1_db=sol.p1_db, avg_power=sol.avg_power,
-                       avg_power_db=sol.avg_power_db)
-        except (ClosedFormDomainError, InfeasibleError, ValueError) as exc:
-            row["error"] = str(exc)
-        rows.append(row)
-    return rows
-
-
-def run_fig5(config: dict, workers: int = 1):
-    methods = list(config["methods"])
-    points = [(v, da, float(config["rate"]), float(config["eps"]),
-               float(config["delta"]), float(config["f_c"]), proto, methods)
-              for da in _as_list(config["d_a_wavelengths"])
-              for v in _as_list(config["v_kmh"])
-              for proto in config["protocols"]]
-    return _map_rows(_fig5_point, points, workers)
-
-
-# ---------------------------------------------------------------------------
-# headline: gains over no retransmission
-# ---------------------------------------------------------------------------
-
-def run_headline(config: dict):
-    eps = float(config["eps"])
-    rate = float(config["rate"])
-    sigma = float(config["sigma"])
-    no_retx = no_retx_required_power(eps, rate)
-    rows = [_row(figure="headline", eps=eps, rate=rate, sigma=sigma,
-                 protocol="none", method="no-retx", avg_power=no_retx,
-                 avg_power_db=_db(no_retx), gain_db_vs_no_retx=0.0)]
-    for protocol in (Protocol.RTD, Protocol.INR):
-        cfg = HarqConfig(protocol=protocol, rate=rate, eps=eps)
-        quantile = GainQuantile(eps, sigma, QuantileMethod.EXACT)
-        for method in ("closed-form", "numeric-exact"):
-            row = _row(figure="headline", eps=eps, rate=rate, sigma=sigma,
-                       protocol=protocol.value, method=method)
-            try:
-                if method == "closed-form":
-                    sol = optimal_p1_closed_form(cfg, sigma)
-                else:
-                    sol = optimal_p1_numeric(cfg, sigma, QuantileMethod.EXACT,
-                                             quantile=quantile)
-                row.update(p1=sol.p1, p1_db=sol.p1_db,
-                           avg_power=sol.avg_power,
-                           avg_power_db=sol.avg_power_db,
-                           gain_db_vs_no_retx=_db(no_retx) - sol.avg_power_db)
-            except (ClosedFormDomainError, ValueError) as exc:
-                row["error"] = str(exc)
-            rows.append(row)
-    return rows
-
-
-# ---------------------------------------------------------------------------
 # mc-verify: closed forms vs simulation
 # ---------------------------------------------------------------------------
 
-def _z_row(check, reference, report_value, se, limit=3.0, **coords):
-    z = abs(report_value - reference) / se if se > 0 else math.inf
-    row = _row(check=check, reference=reference, estimate=report_value,
+def _z_row(check, reference, estimate, se, upper_bound=False, limit=3.0,
+           **coords):
+    """A row failed beyond `limit` standard errors: |z| by default, signed z
+    when the reference only bounds the estimate from above."""
+    diff = estimate - reference
+    z = (diff if upper_bound else abs(diff)) / se if se > 0 else math.inf
+    row = _row(check=check, reference=reference, estimate=estimate,
                se=se, z_score=z, **coords)
     if z > limit:
-        row["error"] = f"z={z:.2f} exceeds {limit}"
+        row["error"] = (f"upper bound violated by z={z:.2f}" if upper_bound
+                        else f"z={z:.2f} exceeds {limit}")
     return row
+
+
+def _closed_loop_rows(protocol_name, eps, sigma, rate, p1, trials, master_seed):
+    # the exact rule must hit the outage target, and the simulated average
+    # power must match the quadrature objective
+    protocol = Protocol(protocol_name)
+    cfg = HarqConfig(protocol=protocol, rate=rate, eps=eps, p1=p1)
+    coords = dict(figure="mc-verify", eps=eps, rate=rate, sigma=sigma,
+                  protocol=protocol.value, n_trials=trials)
+    seed = _row_seed(master_seed, "cl", protocol.value, eps, sigma)
+    rows = []
+    try:
+        quantile = GainQuantile(eps, sigma, QuantileMethod.EXACT)
+        rep = run_closed_loop(cfg, sigma, QuantileMethod.EXACT,
+                              n_trials=trials, seed=seed, quantile=quantile)
+        rows.append(_z_row(
+            "closed_loop_conditional_outage", eps, rep.cond_round2_outage,
+            _binomial_se(eps, rep.n_round2), method="exact",
+            n_denominator=rep.n_round2, seed=seed, **coords))
+        ref = avg_power_given_p1(p1, cfg, sigma, QuantileMethod.EXACT,
+                                 quantile=quantile)
+        rows.append(_z_row("closed_loop_avg_power", ref, rep.avg_power,
+                           rep.avg_power_se, method="exact", seed=seed,
+                           **coords))
+        # the closed-form average integrates the analysis-side rule
+        seed = _row_seed(master_seed, "cf", protocol.value, eps, sigma)
+        rep = run_closed_loop(cfg, sigma, QuantileMethod.ASYMPTOTIC,
+                              n_trials=trials, seed=seed,
+                              jensen_fallback=False)
+        rows.append(_z_row(
+            "closed_form_avg_power", closed_form_avg_power(p1, cfg, sigma),
+            rep.avg_power, rep.avg_power_se, method="asymptotic", seed=seed,
+            **coords))
+    except _ROW_ERRORS as exc:
+        rows.append(_row(check="closed_loop", seed=seed, error=str(exc),
+                         **coords))
+    return rows
+
+
+def _open_loop_rows(protocol_name, rate, p_db, sigma, trials, master_seed):
+    # closed-form outage vs simulation (score-style se), plus the
+    # exact-quadrature cross-check and the average power identity
+    protocol = Protocol(protocol_name)
+    P = 10.0 ** (p_db / 10.0)
+    seed = _row_seed(master_seed, "ol", protocol.value, rate, p_db)
+    coords = dict(figure="mc-verify", rate=rate, sigma=sigma,
+                  protocol=protocol.value, round_power=P, n_trials=trials,
+                  seed=seed)
+    rows = []
+    try:
+        rep = run_open_loop(P, rate, sigma, protocol, n_trials=trials,
+                            seed=seed)
+        exact = open_loop_outage_exact(P, rate, sigma, protocol)
+        rows.append(_z_row(
+            "open_loop_outage_exact_vs_mc", exact, rep.cond_round2_outage,
+            _binomial_se(exact, rep.n_round2), method="exact",
+            n_denominator=rep.n_round2, **coords))
+        # the INR closed form substitutes a threshold that upper-bounds the
+        # true conditional outage; gate only that direction
+        inr = protocol is Protocol.INR
+        closed = (zeta_inr_closed if inr else zeta_rtd_closed)(P, rate, sigma)
+        rows.append(_z_row(
+            "open_loop_outage_closed_upper_bound" if inr
+            else "open_loop_outage_closed_vs_mc",
+            closed, rep.cond_round2_outage, _binomial_se(closed, rep.n_round2),
+            upper_bound=inr, method="closed-form",
+            n_denominator=rep.n_round2, **coords))
+        rows.append(_z_row("open_loop_avg_power",
+                           open_loop_avg_power(P, rate), rep.avg_power,
+                           rep.avg_power_se, **coords))
+    except _ROW_ERRORS as exc:
+        rows.append(_row(check="open_loop_outage", error=str(exc), **coords))
+    return rows
+
+
+def _no_retx_rows(p_db, rate, trials, master_seed):
+    P = 10.0 ** (p_db / 10.0)
+    seed = _row_seed(master_seed, "nr", rate, p_db)
+    coords = dict(figure="mc-verify", rate=rate, round_power=P,
+                  n_trials=trials, seed=seed)
+    try:
+        rep = run_no_retx(P, rate, n_trials=trials, seed=seed)
+        ref = no_retx_outage(P, rate)
+        return [_z_row("no_retx_outage", ref, rep.outage_rate,
+                       _binomial_se(ref, trials), **coords)]
+    except _ROW_ERRORS as exc:
+        return [_row(check="no_retx_outage", error=str(exc), **coords)]
+
+
+def _apply(job):
+    fn, args = job
+    return fn(*args)
 
 
 def run_mc_verify(config: dict, master_seed: int, workers: int = 1):
     trials = int(config["trials"])
-    rows = []
-    rate = float(config["rate"])
-    p1 = float(config["p1"])
-    # closed loop: the exact rule must hit the outage target, and the
-    # simulated average power must match the quadrature objective
-    for protocol_name in ("rtd", "inr"):
-        protocol = Protocol(protocol_name)
-        for eps in _as_list(config["eps"]):
-            for sigma in _as_list(config["sigma"]):
-                seed = _row_seed(master_seed, "cl", protocol.value, eps, sigma)
-                cfg = HarqConfig(protocol=protocol, rate=rate, eps=eps, p1=p1)
-                quantile = GainQuantile(eps, sigma, QuantileMethod.EXACT)
-                rep = run_closed_loop(cfg, sigma, QuantileMethod.EXACT,
-                                      n_trials=trials, seed=seed,
-                                      quantile=quantile)
-                rows.append(_z_row(
-                    "closed_loop_conditional_outage", eps,
-                    rep.cond_round2_outage,
-                    math.sqrt(eps * (1 - eps) / rep.n_round2),
-                    figure="mc-verify", eps=eps, rate=rate, sigma=sigma,
-                    protocol=protocol.value, method="exact",
-                    n_denominator=rep.n_round2, n_trials=trials, seed=seed))
-                ref = avg_power_given_p1(p1, cfg, sigma, QuantileMethod.EXACT,
-                                         quantile=quantile)
-                rows.append(_z_row(
-                    "closed_loop_avg_power", ref, rep.avg_power,
-                    rep.avg_power_se,
-                    figure="mc-verify", eps=eps, rate=rate, sigma=sigma,
-                    protocol=protocol.value, method="exact",
-                    n_trials=trials, seed=seed))
-                # the closed-form average integrates the analysis-side rule
-                seed2 = _row_seed(master_seed, "cf", protocol.value, eps, sigma)
-                rep2 = run_closed_loop(cfg, sigma, QuantileMethod.ASYMPTOTIC,
-                                       n_trials=trials, seed=seed2,
-                                       jensen_fallback=False)
-                rows.append(_z_row(
-                    "closed_form_avg_power", closed_form_avg_power(p1, cfg, sigma),
-                    rep2.avg_power, rep2.avg_power_se,
-                    figure="mc-verify", eps=eps, rate=rate, sigma=sigma,
-                    protocol=protocol.value, method="asymptotic",
-                    n_trials=trials, seed=seed2))
-    # open loop: closed-form outage vs simulation (score-style se), plus the
-    # exact-quadrature cross-check and the average power identity
-    ol_sigma = float(config["open_loop_sigma"])
-    for protocol_name in ("rtd", "inr"):
-        protocol = Protocol(protocol_name)
-        zeta_fn = zeta_rtd_closed if protocol is Protocol.RTD else zeta_inr_closed
-        for ol_rate in _as_list(config["open_loop_rate"]):
-            for p_db in _as_list(config["open_loop_power_db"]):
-                P = 10.0 ** (p_db / 10.0)
-                seed = _row_seed(master_seed, "ol", protocol.value, ol_rate, p_db)
-                try:
-                    rep = run_open_loop(P, ol_rate, ol_sigma, protocol,
-                                        n_trials=trials, seed=seed)
-                except DegenerateConditioningError as exc:
-                    rows.append(_row(figure="mc-verify", check="open_loop_outage",
-                                     rate=ol_rate, sigma=ol_sigma,
-                                     protocol=protocol.value,
-                                     round_power=P, n_trials=trials,
-                                     seed=seed, error=str(exc)))
-                    continue
-                exact = open_loop_outage_exact(P, ol_rate, ol_sigma, protocol)
-                rows.append(_z_row(
-                    "open_loop_outage_exact_vs_mc", exact,
-                    rep.cond_round2_outage,
-                    math.sqrt(max(exact * (1 - exact), 1e-300) / rep.n_round2),
-                    figure="mc-verify", rate=ol_rate, sigma=ol_sigma,
-                    protocol=protocol.value, method="exact", round_power=P,
-                    n_denominator=rep.n_round2, n_trials=trials, seed=seed))
-                closed = zeta_fn(P, ol_rate, ol_sigma)
-                se_closed = math.sqrt(
-                    max(closed * (1 - closed), 1e-300) / rep.n_round2)
-                if protocol is Protocol.RTD:
-                    rows.append(_z_row(
-                        "open_loop_outage_closed_vs_mc", closed,
-                        rep.cond_round2_outage, se_closed,
-                        figure="mc-verify", rate=ol_rate, sigma=ol_sigma,
-                        protocol=protocol.value, method="closed-form",
-                        round_power=P, n_denominator=rep.n_round2,
-                        n_trials=trials, seed=seed))
-                else:
-                    # the threshold-substituted closed form upper-bounds the
-                    # true conditional outage; gate only that direction
-                    z = (rep.cond_round2_outage - closed) / se_closed
-                    row = _row(check="open_loop_outage_closed_upper_bound",
-                               reference=closed,
-                               estimate=rep.cond_round2_outage, se=se_closed,
-                               z_score=z, figure="mc-verify", rate=ol_rate,
-                               sigma=ol_sigma, protocol=protocol.value,
-                               method="closed-form", round_power=P,
-                               n_denominator=rep.n_round2, n_trials=trials,
-                               seed=seed)
-                    if z > 3.0:
-                        row["error"] = f"upper bound violated by z={z:.2f}"
-                    rows.append(row)
-                rows.append(_z_row(
-                    "open_loop_avg_power", open_loop_avg_power(P, ol_rate),
-                    rep.avg_power, rep.avg_power_se,
-                    figure="mc-verify", rate=ol_rate, sigma=ol_sigma,
-                    protocol=protocol.value, round_power=P,
-                    n_trials=trials, seed=seed))
-    # no retransmission
-    for p_db in _as_list(config["open_loop_power_db"]):
-        P = 10.0 ** (p_db / 10.0)
-        for ol_rate in _as_list(config["open_loop_rate"]):
-            seed = _row_seed(master_seed, "nr", ol_rate, p_db)
-            rep = run_no_retx(P, ol_rate, n_trials=trials, seed=seed)
-            ref = no_retx_outage(P, ol_rate)
-            rows.append(_z_row(
-                "no_retx_outage", ref, rep.outage_rate,
-                math.sqrt(max(ref * (1 - ref), 1e-300) / trials),
-                figure="mc-verify", rate=ol_rate, round_power=P,
-                n_trials=trials, seed=seed))
-    return rows
+    closed = (float(config["rate"]), float(config["p1"]), trials, master_seed)
+    opened = (float(config["open_loop_sigma"]), trials, master_seed)
+    powers_db = _as_list(config["open_loop_power_db"])
+    ol_rates = _as_list(config["open_loop_rate"])
+    protocols = ("rtd", "inr")
+    jobs = [(_closed_loop_rows, (proto, eps, sigma) + closed)
+            for proto in protocols
+            for eps in _as_list(config["eps"])
+            for sigma in _as_list(config["sigma"])]
+    jobs += [(_open_loop_rows, (proto, ol_rate, p_db) + opened)
+             for proto in protocols for ol_rate in ol_rates
+             for p_db in powers_db]
+    jobs += [(_no_retx_rows, (p_db, ol_rate, trials, master_seed))
+             for p_db in powers_db for ol_rate in ol_rates]
+    return _map_rows(_apply, jobs, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -588,9 +564,7 @@ def run_eval(op_name: str, assignments: list[str]):
         except ValueError:
             kwargs[key] = raw
     value = fn(**kwargs)
-    row = _row(figure="eval", check=op_name, estimate=float(value))
-    row["error"] = None
-    return [row]
+    return [_row(figure="eval", check=op_name, estimate=float(value))]
 
 
 # ---------------------------------------------------------------------------
@@ -616,11 +590,8 @@ def _add_common(parser):
                         help="master seed for Monte Carlo columns")
     parser.add_argument("--trials", type=int, help="Monte Carlo trials per point")
     parser.add_argument("--out", help="output CSV path (default: stdout)")
-    parser.add_argument("--method", choices=["exact", "approx", "closed", "mc"],
-                        help="restrict the optimization route where the "
-                             "subcommand has one (fig3/fig5); no-op elsewhere")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for sweep points")
+                        help="worker processes for sweep points and checks")
 
 
 _METHOD_FLAG = {
@@ -629,14 +600,35 @@ _METHOD_FLAG = {
     "closed": ["closed-form"],
 }
 
+# every runner takes (config, master seed, workers)
+_RUNNERS = {
+    "fig3": lambda config, seed, workers: run_fig3(config, workers),
+    "fig4": run_fig4,
+    "fig5": lambda config, seed, workers: run_fig5(config, workers),
+    "headline": lambda config, seed, workers: run_headline(config),
+    "mc-verify": run_mc_verify,
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, since exit 2 means that some rows failed."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="paharq",
         description="HARQ-based predictor-antenna power allocation experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("fig3", "fig4", "fig5", "headline", "mc-verify"):
-        _add_common(sub.add_parser(name))
+    for name in _RUNNERS:
+        command = sub.add_parser(name)
+        _add_common(command)
+        if name in ("fig3", "fig5"):
+            command.add_argument("--method", choices=list(_METHOD_FLAG),
+                                 help="run only this optimization route")
     eval_parser = sub.add_parser("eval")
     eval_parser.add_argument("op")
     eval_parser.add_argument("assignments", nargs="*",
@@ -646,37 +638,24 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "eval":
-            rows = run_eval(args.op, args.assignments)
-            _write_csv(rows, args.out)
+            _write_csv(run_eval(args.op, args.assignments), args.out)
             return 0
         overrides = {"trials": args.trials}
-        if args.method in _METHOD_FLAG:
+        if getattr(args, "method", None):
             overrides["methods"] = _METHOD_FLAG[args.method]
         config = _load_config(args.command, args.config, overrides)
+        seed = args.seed
         if args.command in ("fig4", "mc-verify"):
-            seed = args.seed if args.seed is not None else config.get("seed")
+            seed = seed if seed is not None else config.get("seed")
             if seed is None:
                 parser.error(f"--seed is required for {args.command}")
             seed = int(seed)
-        else:
-            seed = int(args.seed) if args.seed is not None else 0
-        if args.command == "fig3":
-            rows = run_fig3(config, workers=args.workers)
-        elif args.command == "fig4":
-            rows = run_fig4(config, seed, workers=args.workers)
-        elif args.command == "fig5":
-            rows = run_fig5(config, workers=args.workers)
-        elif args.command == "headline":
-            rows = run_headline(config)
-        elif args.command == "mc-verify":
-            rows = run_mc_verify(config, seed, workers=args.workers)
-        else:  # pragma: no cover
-            parser.error(f"unknown command {args.command}")
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        rows = _RUNNERS[args.command](config, seed, args.workers)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _write_csv(rows, args.out)
-    return _exit_code(rows)
+    return 2 if any(r["error"] for r in rows) else 0
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from paharq import QuadratureError, cli
 from paharq.cli import COLUMNS, main
 
 
@@ -182,3 +183,71 @@ def test_bad_config_exits_one(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2, 3]")
     assert main(["fig3", "--config", str(bad)]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig3", "--bogus"],
+    ["fig4"],                                # --seed is required
+    ["headline", "--method", "closed"],      # --method is fig3/fig5 only
+    ["mc-verify", "--seed", "1", "--method", "exact"],
+    ["fig3", "--method", "mc"],
+])
+def test_usage_errors_exit_one(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_fig3_bracket_failure_becomes_row(tmp_path):
+    # at eps=1e-9, rate 20 the RTD objective still falls at the top of the
+    # p1 bracket; the sweep must keep going and flag the row
+    out = tmp_path / "fig3.csv"
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "eps": [1e-9], "rate": [20.0], "sigma": 0.8, "protocols": ["rtd"],
+        "methods": ["numeric-asymptotic"],
+    }))
+    assert main(["fig3", "--config", str(config), "--out", str(out)]) == 2
+    rows = read_csv(out)
+    assert [r["method"] for r in rows] == ["numeric-asymptotic", "no-retx"]
+    assert "still decreasing" in rows[0]["error"]
+    assert rows[0]["avg_power"] == ""
+    assert rows[1]["error"] == "" and float(rows[1]["avg_power"]) > 0
+
+
+def test_quadrature_failure_becomes_row(tmp_path, monkeypatch):
+    def failing(*args, **kwargs):
+        raise QuadratureError("integral error estimate too large")
+
+    monkeypatch.setattr(cli, "optimal_p1_numeric", failing)
+    out = tmp_path / "fig3.csv"
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "eps": [1e-2], "rate": [0.5], "sigma": 0.8, "protocols": ["rtd"],
+        "methods": ["numeric-asymptotic", "closed-form"],
+    }))
+    assert main(["fig3", "--config", str(config), "--out", str(out)]) == 2
+    by_method = {r["method"]: r for r in read_csv(out)}
+    assert by_method["numeric-asymptotic"]["error"] == \
+        "integral error estimate too large"
+    assert by_method["closed-form"]["error"] == ""
+    assert by_method["no-retx"]["error"] == ""
+
+
+def test_mc_verify_workers_do_not_change_bytes(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "eps": [1e-2], "rate": 1.0, "sigma": [0.8], "p1": 1.0,
+        "open_loop_power_db": [10.0], "open_loop_rate": [2.0],
+        "open_loop_sigma": 0.8, "trials": 20_000,
+    }))
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"verify_{workers}.csv"
+        main(["mc-verify", "--config", str(config), "--seed", "20260808",
+              "--workers", workers, "--out", str(out)])
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    # header, 3 closed-loop and 3 open-loop checks per protocol, no-retx
+    assert len(outputs[0].splitlines()) == 1 + 2 * 3 + 2 * 3 + 1
