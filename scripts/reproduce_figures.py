@@ -3,8 +3,8 @@
 
 Writes fig3.csv, fig4.csv, fig5.csv, headline.csv and mc_verify.csv into
 the output directory.  The numeric-exact sweeps dominate the runtime:
---quick took about 350 s with one worker on a 2-vCPU Intel Xeon, and the
-full speed sweep has four times as many points.  Pass --workers to spread
+--quick took 237 s with one worker on a 2-vCPU Intel Xeon, and the full
+speed sweep has four times as many points.  Pass --workers to spread
 sweep points over processes, or --quick for a coarse preview grid.
 """
 
@@ -28,19 +28,19 @@ QUICK_OVERRIDES = {
 def run(outdir: Path, seed: int, workers: int, quick: bool) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     status = 0
-    for command in ("fig3", "fig4", "fig5", "headline", "mc-verify"):
-        out_path = outdir / f"{command.replace('-', '_')}.csv"
-        argv = [command, "--out", str(out_path), "--seed", str(seed),
-                "--workers", str(workers)]
-        if quick and QUICK_OVERRIDES[command]:
-            with tempfile.NamedTemporaryFile(
-                    "w", suffix=".json", delete=False) as fh:
-                json.dump(QUICK_OVERRIDES[command], fh)
-                argv += ["--config", fh.name]
-        print(f"== paharq {' '.join(argv)}")
-        code = cli_main(argv)
-        print(f"   -> {out_path} (exit {code})")
-        status = max(status, code)
+    with tempfile.TemporaryDirectory() as tmp:
+        for command in ("fig3", "fig4", "fig5", "headline", "mc-verify"):
+            out_path = outdir / f"{command.replace('-', '_')}.csv"
+            argv = [command, "--out", str(out_path), "--seed", str(seed),
+                    "--workers", str(workers)]
+            if quick and QUICK_OVERRIDES[command]:
+                config = Path(tmp) / f"{command}.json"
+                config.write_text(json.dumps(QUICK_OVERRIDES[command]))
+                argv += ["--config", str(config)]
+            print(f"== paharq {' '.join(argv)}")
+            code = cli_main(argv)
+            print(f"   -> {out_path} (exit {code})")
+            status = max(status, code)
     return status
 
 

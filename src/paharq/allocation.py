@@ -4,7 +4,8 @@ The objective is p1 plus the exponentially weighted integral of the
 round-two rule over the round-one failure region.  Two first-class routes:
 
 * a numeric route (grid-scan bracket plus golden section over log-power)
-  against the quadrature objective with any quantile method, and
+  against the quadrature objective with any quantile method; the objective
+  is one array operation over all powers of the scan, and
 * the closed form: with the asymptotic quantile the objective integrates
   exactly, its stationary point lands on the lower Lambert branch, and the
   minimum average power follows by substitution.  For INR the closed form
@@ -12,19 +13,47 @@ round-two rule over the round-one failure region.  Two first-class routes:
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
-from .channel import GainQuantile, QuantileMethod
+from .channel import G_MAX, QUANTILE_KNOTS, GainQuantile, QuantileMethod
 from .harq import HarqConfig, P2Rule, Protocol
 from .special import lambert_w
 
-# Round-one gains above this carry weight e^-50 ~ 2e-22; the integral tail
-# beyond it is far below the quadrature tolerance.
-G_MAX = 50.0
+# 7-point Gauss / 15-point Kronrod rule on [-1, 1] (the QUADPACK qk15
+# constants); the Gauss nodes are the odd-indexed Kronrod nodes.
+_XK_HALF = np.array([0.991455371120812639206854697526329,
+                     0.949107912342758524526189684047851,
+                     0.864864423359769072789712788640926,
+                     0.741531185599394439863864773280788,
+                     0.586087235467691130294144845693013,
+                     0.405845151377397166906606412076961,
+                     0.207784955007898467600689403773245,
+                     0.0])
+_WK_HALF = np.array([0.022935322010529224963732008058970,
+                     0.063092092629978553290700663189204,
+                     0.104790010322250183839876322541518,
+                     0.140653259715525918745189590510238,
+                     0.169004726639267902826583426598550,
+                     0.190350578064785409913256402421014,
+                     0.204432940075298892414161999234649,
+                     0.209482141084727828012999174891714])
+_WG_HALF = np.array([0.129484966168869693270611432679082,
+                     0.279705391489276667901467771423780,
+                     0.381830050505118944950369775488975,
+                     0.417959183673469387755102040816327])
+_XK = np.concatenate((-_XK_HALF, _XK_HALF[-2::-1]))
+_WK = np.concatenate((_WK_HALF, _WK_HALF[-2::-1]))
+_WG = np.concatenate((_WG_HALF, _WG_HALF[-2::-1]))
+
+# Panel edges of the average-power integral: 0, halvings of the first
+# table knot down to 2^-14 of it, then the table's knots.  The halvings
+# resolve the INR numerator's drop at g1 ~ 1/p1 for powers up to ~1e12.
+_EDGES = np.concatenate(([0.0], QUANTILE_KNOTS[0] * 2.0 ** np.arange(-14, 0),
+                         QUANTILE_KNOTS))
+# Powers per array evaluation; bounds the powers x panels x 15 node arrays.
+_BATCH = 2
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _LN10_OVER_10 = math.log(10.0) / 10.0
@@ -79,33 +108,69 @@ def c_coefficient(eps: float, sigma: float) -> float:
 def avg_power_given_p1(p1: float, cfg: HarqConfig, sigma: float,
                        method: QuantileMethod = QuantileMethod.EXACT,
                        quantile: GainQuantile | None = None) -> float:
-    """Expected total power p1 + E[P2(g1); round one fails], by quadrature.
+    """Expected total power p1 + E[P2(g1); round one fails] at one power.
 
-    For INR with the ASYMPTOTIC method the integrand keeps the Jensen
-    numerator floored at zero (the convention whose integral the closed
-    form reproduces); the simulator-side fallback is a separate choice.
+    A one-element call of avg_power_given_p1_vec.
     """
-    if p1 <= 0:
-        raise ValueError(f"p1 must be > 0, got {p1}")
-    cfg = _with_p1(cfg, p1)
+    return float(avg_power_given_p1_vec([p1], cfg, sigma, method,
+                                        quantile=quantile)[0])
+
+
+def avg_power_given_p1_vec(p1s, cfg: HarqConfig, sigma: float,
+                           method: QuantileMethod = QuantileMethod.EXACT,
+                           quantile: GainQuantile | None = None) -> np.ndarray:
+    """Expected total power p1 + E[P2(g1); round one fails] at each power
+    of the 1-D array p1s.
+
+    The integral of e^-g1 P2(g1) over [0, min(theta/p1, G_MAX)] uses a
+    7/15-point Gauss-Kronrod rule on fixed panels (_EDGES: 0, halvings of
+    the first table knot, then the exact quantile table's knots), clipped
+    at each power's upper limit, so no panel straddles a knot of the
+    piecewise-cubic table.  For INR with the ASYMPTOTIC method the
+    integrand keeps the Jensen numerator floored at zero (the convention
+    whose integral the closed form reproduces; the simulator-side fallback
+    is a separate choice), and one more edge sits at its kink theta1/p1.
+    The summed |Kronrod - Gauss| panel differences are the error estimate;
+    QuadratureError if it exceeds 1e-6 max(value, p1) at any power.
+    """
+    p1s = np.asarray(p1s, dtype=float)
+    if np.any(p1s <= 0):
+        raise ValueError(f"p1 must be > 0, got {p1s.min()}")
     rule = P2Rule(cfg, sigma, method, jensen_fallback=False, quantile=quantile)
-    g_hi = min(cfg.theta / p1, G_MAX)
-    points = None
-    if (cfg.protocol is Protocol.INR and method is QuantileMethod.ASYMPTOTIC
-            and 0.0 < cfg.theta1 / p1 < g_hi):
-        points = [cfg.theta1 / p1]  # kink where the floored numerator hits 0
-    integrand = lambda x: math.exp(-x) * float(rule(x))
-    with warnings.catch_warnings():
-        # the tabulated quantile is piecewise cubic, so the roundoff
-        # detector fires at its knots; the returned estimate is checked
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(integrand, 0.0, g_hi, epsabs=0.0,
-                                  epsrel=1e-8, limit=300, points=points)
-    if err > 1e-6 * max(val, p1):
+    g_hi = np.minimum(cfg.theta / p1s, G_MAX)
+    split = g_hi
+    if cfg.protocol is Protocol.INR and method is QuantileMethod.ASYMPTOTIC:
+        split = np.minimum(cfg.theta1 / p1s, g_hi)
+    val = np.empty(p1s.size)
+    err = np.empty(p1s.size)
+    for lo in range(0, p1s.size, _BATCH):
+        batch = slice(lo, lo + _BATCH)
+        val[batch], err[batch] = _gauss_kronrod(rule, p1s[batch],
+                                                g_hi[batch], split[batch])
+    bad = err > 1e-6 * np.maximum(val, p1s)
+    if bad.any():
+        i = int(np.argmax(bad))
         raise QuadratureError(
-            f"integral error estimate {err:.3g} too large for value {val:.6g} "
-            f"(p1={p1:.6g}, sigma={sigma}, method={method.value})")
-    return p1 + val
+            f"integral error estimate {err[i]:.3g} too large for value "
+            f"{val[i]:.6g} (p1={p1s[i]:.6g}, sigma={sigma}, "
+            f"method={method.value})")
+    return p1s + val
+
+
+def _gauss_kronrod(rule: P2Rule, p1: np.ndarray, g_hi: np.ndarray,
+                   split: np.ndarray):
+    """Per power: the Kronrod integral of e^-g1 rule(g1, p1) over the
+    clipped panels plus an extra edge at `split`, and the summed
+    |Kronrod - Gauss| panel differences."""
+    n_edges = int(np.searchsorted(_EDGES, g_hi.max())) + 1
+    edges = np.minimum(_EDGES[:n_edges], g_hi[:, None])
+    edges = np.sort(np.concatenate((edges, split[:, None]), axis=1), axis=1)
+    half = 0.5 * np.diff(edges, axis=1)[..., None]
+    x = 0.5 * (edges[:, 1:] + edges[:, :-1])[..., None] + half * _XK
+    f = half * np.exp(-x) * rule(x, p1[:, None, None])
+    kronrod = f @ _WK
+    gauss = f[..., 1::2] @ _WG
+    return kronrod.sum(axis=1), np.abs(kronrod - gauss).sum(axis=1)
 
 
 def closed_form_avg_power(p1: float, cfg: HarqConfig, sigma: float) -> float:
@@ -197,7 +262,8 @@ def optimal_p1_numeric(cfg: HarqConfig, sigma: float,
                                        quantile=quantile)
     while True:
         ts = np.log(np.geomspace(p_lo, p_hi, grid_points))
-        ys = np.array([obj(t) for t in ts])
+        ys = avg_power_given_p1_vec(np.exp(ts), cfg, sigma, method,
+                                    quantile=quantile)
         i = int(np.argmin(ys))
         if i < grid_points - 1:
             break
@@ -221,9 +287,3 @@ def optimal_p1_numeric(cfg: HarqConfig, sigma: float,
         diagnostics={"n_grid_local_minima": n_local_minima,
                      "grid_argmin_p1": float(np.exp(ts[i]))},
     )
-
-
-def _with_p1(cfg: HarqConfig, p1: float) -> HarqConfig:
-    if cfg.p1 == p1:
-        return cfg
-    return HarqConfig(protocol=cfg.protocol, rate=cfg.rate, eps=cfg.eps, p1=p1)

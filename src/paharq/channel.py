@@ -20,11 +20,19 @@ from scipy.interpolate import PchipInterpolator
 from .special import (
     inv_marcum_q1,
     inv_marcum_q1_asymptotic,
-    marcum_q1,
+    marcum_q1,  # noqa: F401  (re-exported; perfbench's tracer test reads it)
     weibull_fit_parameters,
 )
 
 SPEED_OF_LIGHT = 299792458.0
+
+# Round-one gains above this carry weight e^-50 ~ 2e-22, far below any
+# tolerance of the average-power integral that is cut off there.
+G_MAX = 50.0
+
+# g1 knots of the exact quantile table.  The average-power quadrature puts
+# its panel edges on them, so each panel sees one smooth cubic piece.
+QUANTILE_KNOTS = np.geomspace(1e-9, G_MAX, 513)
 
 # sigma = 0 makes the conditional distribution degenerate; this floor keeps
 # every formula finite.  Numerical guard, not a physical claim.
@@ -113,9 +121,11 @@ def _noncentrality(g1: float, sigma: float) -> float:
 
 
 def cond_cdf_g2(x: float, g1: float, sigma: float) -> float:
-    """P(g2 <= x | g1): one minus a Marcum Q tail.
+    """P(g2 <= x | g1): the noncentral chi-square CDF of 2 g2 / sigma^2.
 
-    At sigma = 1 the antennas decorrelate completely and this reduces to the
+    Evaluated directly as the lower tail, so it keeps full relative accuracy
+    where it is small (one minus a Marcum Q tail would cancel there).  At
+    sigma = 1 the antennas decorrelate completely and this reduces to the
     unit-mean exponential CDF 1 - exp(-x).
     """
     _check_sigma(sigma)
@@ -123,9 +133,9 @@ def cond_cdf_g2(x: float, g1: float, sigma: float) -> float:
         raise ValueError(f"g1 must be >= 0, got {g1}")
     if x <= 0.0:
         return 0.0
-    s = _noncentrality(g1, sigma)
-    rho = math.sqrt(2.0 * x) / sigma
-    return min(max(1.0 - marcum_q1(s, rho), 0.0), 1.0)
+    s2 = sigma * sigma
+    return float(sp_special.chndtr(2.0 * x / s2, 2.0,
+                                   2.0 * g1 * (1.0 - s2) / s2))
 
 
 def inv_cond_cdf_g2(eps: float, g1: float, sigma: float,
@@ -173,25 +183,23 @@ class GainQuantile:
     """Vectorized eps-quantile of g2 given g1, for a fixed (eps, sigma).
 
     The closed-form methods evaluate directly.  The exact method solves the
-    Marcum inverse on a geometric g1 grid once and interpolates
+    Marcum inverse on the QUANTILE_KNOTS g1 grid once and interpolates
     log-quantile against log-g1 with a monotone cubic; interpolation error
     is orders of magnitude below the Monte Carlo resolutions it feeds.
     """
 
     def __init__(self, eps: float, sigma: float,
-                 method: QuantileMethod = QuantileMethod.EXACT,
-                 g_max: float = 50.0, nodes: int = 513):
+                 method: QuantileMethod = QuantileMethod.EXACT):
         _check_sigma(sigma)
         if not 0.0 < eps < 1.0:
             raise ValueError(f"eps must be in (0, 1), got {eps}")
         self.eps = eps
         self.sigma = sigma
         self.method = method
-        self.g_max = g_max
         if method is QuantileMethod.EXACT:
-            g_lo = 1e-9
-            grid = np.geomspace(g_lo, g_max, nodes)
-            vals = np.empty(nodes)
+            grid = QUANTILE_KNOTS
+            g_lo = grid[0]
+            vals = np.empty(grid.size)
             for i, g in enumerate(grid):
                 vals[i] = inv_cond_cdf_g2(eps, g, sigma, QuantileMethod.EXACT)
             self._x0 = inv_cond_cdf_g2(eps, 0.0, sigma, QuantileMethod.EXACT)

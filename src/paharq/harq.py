@@ -115,14 +115,15 @@ class P2Rule:
     """Vectorized round-two power rule for a fixed (config, sigma, method).
 
     Wraps a shared GainQuantile so Monte Carlo batches and quadrature reuse
-    one table.  `jensen_fallback` mirrors p2_inr.
+    one table.  `jensen_fallback` mirrors p2_inr.  The round-one power is
+    cfg.p1 unless a call passes its own (possibly an array broadcasting
+    against g1), so one rule serves every power of an optimization.
     """
 
     def __init__(self, cfg: HarqConfig, sigma: float,
                  method: QuantileMethod = QuantileMethod.EXACT,
                  jensen_fallback: bool = True,
                  quantile: GainQuantile | None = None):
-        _require_p1(cfg)
         if quantile is None:
             quantile = GainQuantile(cfg.eps, sigma, method)
         elif (quantile.eps != cfg.eps or quantile.sigma != sigma
@@ -137,16 +138,16 @@ class P2Rule:
     def jensen_fallback_mask(self, g1) -> np.ndarray:
         """Failed-round-one points where the Jensen numerator is nonpositive."""
         g1 = np.asarray(g1, dtype=float)
-        p1 = self.cfg.p1
+        p1 = _require_p1(self.cfg)
         mask = (g1 * p1 < self.cfg.theta) & (self.cfg.theta1 - g1 * p1 <= 0.0)
         if not (self.cfg.protocol is Protocol.INR
                 and self.method is QuantileMethod.ASYMPTOTIC):
             return np.zeros_like(mask)
         return mask
 
-    def __call__(self, g1) -> np.ndarray:
+    def __call__(self, g1, p1=None) -> np.ndarray:
         g1 = np.asarray(g1, dtype=float)
-        p1 = self.cfg.p1
+        p1 = _require_p1(self.cfg) if p1 is None else np.asarray(p1, float)
         gap = self.cfg.theta - g1 * p1
         failed = gap > 0.0
         if self.cfg.protocol is Protocol.RTD:

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 
 from paharq.allocation import (
     BracketError,
     ClosedFormDomainError,
+    QuadratureError,
     avg_power_given_p1,
+    avg_power_given_p1_vec,
     c_coefficient,
     closed_form_avg_power,
     golden_section_min,
@@ -14,7 +17,12 @@ from paharq.allocation import (
     optimal_p1_closed_form,
     optimal_p1_numeric,
 )
-from paharq.channel import QuantileMethod, sample_g1
+from paharq.channel import (
+    QUANTILE_KNOTS,
+    GainQuantile,
+    QuantileMethod,
+    sample_g1,
+)
 from paharq.harq import HarqConfig, P2Rule, Protocol
 
 
@@ -95,6 +103,115 @@ class TestAveragePower:
             avg_power_given_p1(0.0, cfg(), 0.8)
         with pytest.raises(ValueError):
             closed_form_avg_power(-1.0, cfg(), 0.8)
+
+
+def chndtrix_objective(p1, c, sigma):
+    """p1 + E[P2(g1); round one fails] by adaptive quadrature, with the
+    exact quantile taken from scipy's noncentral chi-square inverse."""
+    s2 = sigma * sigma
+
+    def integrand(x):
+        gap = c.theta - x * p1
+        num = gap if c.protocol is Protocol.RTD else gap / (1.0 + x * p1)
+        quantile = 0.5 * s2 * special.chndtrix(c.eps, 2.0,
+                                               2.0 * x * (1.0 - s2) / s2)
+        return math.exp(-x) * num / quantile
+
+    val, _ = integrate.quad(integrand, 0.0, min(c.theta / p1, 50.0),
+                            epsabs=0.0, epsrel=1e-10, limit=400)
+    return p1 + val
+
+
+class TestVectorObjective:
+    @pytest.mark.parametrize("method", list(QuantileMethod))
+    @pytest.mark.parametrize("protocol", [Protocol.RTD, Protocol.INR])
+    def test_batch_equals_scalar(self, qcache, protocol, method):
+        c = cfg(protocol=protocol)
+        q = qcache.get(1e-3, 0.8, method)
+        p1s = np.geomspace(1e-2, 1e4, 7)
+        batch = avg_power_given_p1_vec(p1s, c, 0.8, method, quantile=q)
+        scalar = [avg_power_given_p1(p1, c, 0.8, method, quantile=q)
+                  for p1 in p1s]
+        np.testing.assert_allclose(batch, scalar, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("eps", [1e-5, 1e-3, 1e-1])
+    @pytest.mark.parametrize("sigma", [0.3, 0.8, 1.0])
+    def test_matches_chndtrix_quadrature(self, qcache, sigma, eps):
+        q = qcache.get(eps, sigma)
+        p1s = np.array([1e-2, 1.0, 1e2])
+        for protocol in (Protocol.RTD, Protocol.INR):
+            c = cfg(protocol=protocol, eps=eps)
+            got = avg_power_given_p1_vec(p1s, c, sigma, quantile=q)
+            for p1, value in zip(p1s, got):
+                assert value == pytest.approx(
+                    chndtrix_objective(p1, c, sigma), rel=1e-6)
+
+    def test_asymptotic_inr_across_kink_matches_closed_form(self):
+        # the floored Jensen numerator kinks at theta1/p1 inside (0, G_MAX)
+        c = cfg(protocol=Protocol.INR)
+        p1s = np.geomspace(0.1, 1e3, 9)
+        assert np.all(c.theta1 / p1s < 50.0)
+        got = avg_power_given_p1_vec(p1s, c, 0.8, QuantileMethod.ASYMPTOTIC)
+        for p1, value in zip(p1s, got):
+            assert value == pytest.approx(
+                closed_form_avg_power(p1, c, 0.8), rel=1e-9)
+
+    def test_quadrature_error_on_jump_inside_panel(self):
+        smooth = GainQuantile(1e-3, 0.8, QuantileMethod.ASYMPTOTIC)
+
+        class JumpQuantile:
+            eps, sigma, method = 1e-3, 0.8, QuantileMethod.EXACT
+
+            def __init__(self, factor):
+                self.factor = factor
+
+            def __call__(self, g1):
+                # doubles between two table knots, inside one panel
+                jump = math.sqrt(QUANTILE_KNOTS[400] * QUANTILE_KNOTS[401])
+                return np.where(g1 < jump, 1.0, self.factor) * smooth(g1)
+
+        c = cfg()
+        assert avg_power_given_p1(1.0, c, 0.8, quantile=JumpQuantile(1.0)) \
+            == pytest.approx(avg_power_given_p1(
+                1.0, c, 0.8, QuantileMethod.ASYMPTOTIC), rel=1e-14)
+        with pytest.raises(QuadratureError, match="error estimate"):
+            avg_power_given_p1(1.0, c, 0.8, quantile=JumpQuantile(2.0))
+
+    def test_rejects_nonpositive_power_in_batch(self):
+        with pytest.raises(ValueError):
+            avg_power_given_p1_vec([1.0, -1.0], cfg(), 0.8,
+                                   QuantileMethod.ASYMPTOTIC)
+
+
+class TestOneInBillionTarget:
+    """At eps = 1e-9 the exact quantile still matches the closed forms for
+    RTD; the INR gap comes from the Jensen numerator theta1."""
+
+    @pytest.mark.parametrize("rate", [2.0, 10.0])
+    def test_gap_is_inr_only(self, qcache, rate):
+        q = qcache.get(1e-9, 0.8)
+        rtd = cfg(Protocol.RTD, rate, 1e-9)
+        inr = cfg(Protocol.INR, rate, 1e-9)
+        rtd_closed = optimal_p1_closed_form(rtd, 0.8).avg_power_db
+        rtd_exact = optimal_p1_numeric(rtd, 0.8, QuantileMethod.EXACT,
+                                       quantile=q).avg_power_db
+        assert abs(rtd_exact - rtd_closed) <= 0.01
+        inr_closed = optimal_p1_closed_form(inr, 0.8).avg_power_db
+        inr_asymptotic = optimal_p1_numeric(
+            inr, 0.8, QuantileMethod.ASYMPTOTIC).avg_power_db
+        assert abs(inr_asymptotic - inr_closed) <= 0.01
+        inr_exact = optimal_p1_numeric(inr, 0.8, QuantileMethod.EXACT,
+                                       quantile=q).avg_power_db
+        assert inr_exact > max(inr_closed, inr_asymptotic) + 0.5
+
+    def test_inr_exact_optimum_beyond_first_knot(self, qcache):
+        # at rate 20 the optimal p1 exceeds 1e9, so the INR numerator drops
+        # on a scale 1/p1 below the table's first knot
+        inr = cfg(Protocol.INR, 20.0, 1e-9)
+        sol = optimal_p1_numeric(inr, 0.8, QuantileMethod.EXACT,
+                                 quantile=qcache.get(1e-9, 0.8))
+        assert sol.p1 > 1e9
+        assert sol.avg_power_db > optimal_p1_closed_form(inr, 0.8).avg_power_db
 
 
 class TestClosedFormOptimum:

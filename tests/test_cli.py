@@ -1,9 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import paharq
 from paharq import QuadratureError, cli
 from paharq.cli import COLUMNS, main
 
@@ -251,3 +256,10 @@ def test_mc_verify_workers_do_not_change_bytes(tmp_path):
     assert outputs[0] == outputs[1]
     # header, 3 closed-loop and 3 open-loop checks per protocol, no-retx
     assert len(outputs[0].splitlines()) == 1 + 2 * 3 + 2 * 3 + 1
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # importing scipy.stats adds about half a second to the CLI start-up
+    env = dict(os.environ, PYTHONPATH=str(Path(paharq.__file__).parents[1]))
+    code = "import sys, paharq.cli; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -1,0 +1,33 @@
+import importlib.util
+import json
+import tempfile
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_figures.py"
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("reproduce_figures", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_quick_run_leaves_no_temp_files(tmp_path, monkeypatch):
+    script = load_script()
+    temp = tmp_path / "tmp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    configs = {}
+
+    def fake_main(argv):
+        if "--config" in argv:
+            path = Path(argv[argv.index("--config") + 1])
+            configs[argv[0]] = json.loads(path.read_text())
+        return 0
+
+    monkeypatch.setattr(script, "cli_main", fake_main)
+    assert script.run(tmp_path / "out", seed=1, workers=1, quick=True) == 0
+    assert configs == {command: overrides for command, overrides
+                       in script.QUICK_OVERRIDES.items() if overrides}
+    assert list(temp.iterdir()) == []
