@@ -14,7 +14,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from paharq.cli import main as cli_main
+from paharq.cli import MC_COMMANDS, main as cli_main
 
 QUICK_OVERRIDES = {
     "fig3": {"eps": [1e-5, 1e-4, 1e-3, 1e-2, 1e-1]},
@@ -31,8 +31,9 @@ def run(outdir: Path, seed: int, workers: int, quick: bool) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for command in ("fig3", "fig4", "fig5", "headline", "mc-verify"):
             out_path = outdir / f"{command.replace('-', '_')}.csv"
-            argv = [command, "--out", str(out_path), "--seed", str(seed),
-                    "--workers", str(workers)]
+            argv = [command, "--out", str(out_path), "--workers", str(workers)]
+            if command in MC_COMMANDS:
+                argv += ["--seed", str(seed)]
             if quick and QUICK_OVERRIDES[command]:
                 config = Path(tmp) / f"{command}.json"
                 config.write_text(json.dumps(QUICK_OVERRIDES[command]))

@@ -223,19 +223,24 @@ def sample_g1(rng: np.random.Generator, size=None):
 
 
 def sample_g2_given_g1(rng: np.random.Generator, g1, sigma: float):
-    """Draw g2 | g1 from the mixing model.
+    """Draw g2 | g1 from the mixing model, in real arithmetic.
 
-    h1 is placed uniformly on the circle of radius sqrt(g1) (the conditional
-    law only depends on |h1|, asserted by the distribution tests), q is
-    circularly symmetric unit-variance complex normal.
+    q is circularly symmetric, so the phase of h1 does not change the law
+    of |h2|^2 and h1 is taken as the real sqrt(g1):
+
+        g2 = (sqrt(1 - sigma^2) sqrt(g1) + sigma x / sqrt 2)^2
+             + (sigma y / sqrt 2)^2
+
+    with x and y the two rows of one standard_normal((2,) + g1.shape) draw,
+    so a call consumes exactly 2 g1.size normals from `rng`.
     """
     _check_sigma(sigma)
     g1 = np.asarray(g1, dtype=float)
-    phase = rng.uniform(0.0, 2.0 * np.pi, size=g1.shape)
-    h1 = np.sqrt(g1) * np.exp(1j * phase)
-    q = (rng.normal(size=g1.shape) + 1j * rng.normal(size=g1.shape)) * np.sqrt(0.5)
-    h2 = np.sqrt(1.0 - sigma * sigma) * h1 + sigma * q
-    return np.abs(h2) ** 2
+    z = rng.standard_normal((2,) + g1.shape)
+    z *= sigma * math.sqrt(0.5)
+    z[0] += math.sqrt(1.0 - sigma * sigma) * np.sqrt(g1)
+    np.square(z, out=z)
+    return z[0] + z[1]
 
 
 def _check_sigma(sigma: float) -> None:

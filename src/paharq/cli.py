@@ -15,8 +15,10 @@ eval      single-point evaluation of any registered operation
 mc-verify closed forms vs protocol-level simulation with z-scores
 
 Reproducibility: every row carries the master seed and the code version;
-per-row Monte Carlo seeds are derived from the master seed and the row's
-coordinate string, so a row's bytes do not depend on grid composition.
+per-row Monte Carlo seeds are spawned from the master seed's SeedSequence
+on the row's coordinate string, so a row's bytes do not depend on grid
+composition.  Only fig4 and mc-verify draw samples, so only they take
+--seed and --trials.
 Exit codes: 0 all rows ok, 1 usage/config error, 2 some rows failed,
 were infeasible or hit an optimizer failure (annotated in the `error`
 column).
@@ -27,8 +29,9 @@ import csv
 import json
 import math
 import sys
-import zlib
 from concurrent.futures import ProcessPoolExecutor
+
+import numpy as np
 
 from . import __version__
 from .allocation import (
@@ -161,8 +164,12 @@ def _row(**kw) -> dict:
 
 
 def _row_seed(master_seed: int, *coords) -> int:
-    key = "|".join(_fmt(c) for c in coords)
-    return (int(master_seed) ^ zlib.crc32(key.encode())) & (2**63 - 1)
+    """63-bit Philox key of one row: the master seed's SeedSequence spawned
+    on the bytes of the row's coordinate string, so no two master seeds
+    trade the streams of two rows."""
+    key = "|".join(_fmt(c) for c in coords).encode()
+    seq = np.random.SeedSequence(int(master_seed), spawn_key=tuple(key))
+    return int(seq.generate_state(1, np.uint64)[0]) & (2**63 - 1)
 
 
 def _write_csv(rows, out_path):
@@ -586,9 +593,6 @@ def _map_rows(fn, points, workers):
 
 def _add_common(parser):
     parser.add_argument("--config", help="flat JSON config file")
-    parser.add_argument("--seed", type=int, required=False,
-                        help="master seed for Monte Carlo columns")
-    parser.add_argument("--trials", type=int, help="Monte Carlo trials per point")
     parser.add_argument("--out", help="output CSV path (default: stdout)")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes for sweep points and checks")
@@ -599,6 +603,9 @@ _METHOD_FLAG = {
     "approx": ["numeric-weibull"],
     "closed": ["closed-form"],
 }
+
+# the subcommands that draw Monte Carlo samples
+MC_COMMANDS = ("fig4", "mc-verify")
 
 # every runner takes (config, master seed, workers)
 _RUNNERS = {
@@ -618,7 +625,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def main(argv=None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="paharq",
         description="HARQ-based predictor-antenna power allocation experiments")
@@ -626,6 +633,11 @@ def main(argv=None) -> int:
     for name in _RUNNERS:
         command = sub.add_parser(name)
         _add_common(command)
+        if name in MC_COMMANDS:
+            command.add_argument("--seed", type=int,
+                                 help="master seed for Monte Carlo columns")
+            command.add_argument("--trials", type=int,
+                                 help="Monte Carlo trials per point")
         if name in ("fig3", "fig5"):
             command.add_argument("--method", choices=list(_METHOD_FLAG),
                                  help="run only this optimization route")
@@ -634,22 +646,29 @@ def main(argv=None) -> int:
     eval_parser.add_argument("assignments", nargs="*",
                              help="parameter assignments key=value")
     eval_parser.add_argument("--out")
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = _build_parser()
     args = parser.parse_args(argv)
 
     try:
         if args.command == "eval":
             _write_csv(run_eval(args.op, args.assignments), args.out)
             return 0
-        overrides = {"trials": args.trials}
+        overrides = {"trials": getattr(args, "trials", None)}
         if getattr(args, "method", None):
             overrides["methods"] = _METHOD_FLAG[args.method]
         config = _load_config(args.command, args.config, overrides)
-        seed = args.seed
-        if args.command in ("fig4", "mc-verify"):
-            seed = seed if seed is not None else config.get("seed")
+        seed = None
+        if args.command in MC_COMMANDS:
+            seed = args.seed if args.seed is not None else config.get("seed")
             if seed is None:
                 parser.error(f"--seed is required for {args.command}")
             seed = int(seed)
+            if seed < 0:
+                parser.error(f"the master seed must be >= 0, got {seed}")
         rows = _RUNNERS[args.command](config, seed, args.workers)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,10 +2,13 @@
 
 Every run is deterministic given (parameters, seed): trials are organized
 in fixed-size batches and batch j draws from a Philox stream whose counter
-starts at j * 2**192, so streams never overlap, trial i is the same
+starts at j * 2**192, so streams never overlap, a whole batch is the same
 regardless of n_trials, and whole batches can be farmed out to workers
-without changing any result.  Power totals are reduced with math.fsum
-(exactly rounded, hence order-independent).
+without changing any result.  Each batch slices its g1 from a full-batch
+draw, so a trial's g1 never depends on n_trials; the g2 draws that follow
+are sized by the batch's trials, so in a short last batch they do.  Power
+totals are reduced with math.fsum (exactly rounded, hence
+order-independent).
 """
 
 import math

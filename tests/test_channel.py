@@ -197,3 +197,32 @@ class TestSamplers:
         emp_lo = idx / n
         ks = max(np.max(emp_hi - theory), np.max(theory - emp_lo))
         assert ks < 0.006
+
+    @pytest.mark.parametrize("sigma", [0.05, 0.5, 1.0])
+    @pytest.mark.parametrize("g1", [0.01, 1.0, 10.0])
+    def test_g2_ks_against_cond_cdf(self, g1, sigma):
+        # exact one-sample KS over every draw; the 1e-3 critical value at
+        # n = 5e4 is 1.95 / sqrt(n) ~ 0.0087
+        n = 50_000
+        rng = np.random.default_rng(4100 + int(100 * g1) + int(100 * sigma))
+        g2 = np.sort(sample_g2_given_g1(rng, np.full(n, g1), sigma))
+        cdf = np.array([cond_cdf_g2(float(x), g1, sigma) for x in g2])
+        i = np.arange(1, n + 1)
+        ks = max(float(np.max(i / n - cdf)), float(np.max(cdf - (i - 1) / n)))
+        assert ks < 1.95 / math.sqrt(n)
+
+    def test_g2_draws_two_normals_per_trial(self):
+        # the stream contract of the simulators: one call consumes exactly
+        # 2n standard normals, x then y, and leaves the generator where a
+        # twin stands after standard_normal(2n)
+        g1 = np.linspace(0.0, 5.0, 1001)
+        sigma = 0.6
+        rng = np.random.Generator(np.random.Philox(key=7))
+        twin = np.random.Generator(np.random.Philox(key=7))
+        g2 = sample_g2_given_g1(rng, g1, sigma)
+        x, y = twin.standard_normal(2 * g1.size).reshape(2, -1)
+        c = sigma * math.sqrt(0.5)
+        expected = (math.sqrt(1 - sigma**2) * np.sqrt(g1) + c * x)**2 + (c * y)**2
+        np.testing.assert_allclose(g2, expected, rtol=1e-14, atol=0.0)
+        np.testing.assert_array_equal(rng.standard_normal(8),
+                                      twin.standard_normal(8))

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -196,6 +197,11 @@ def test_bad_config_exits_one(tmp_path):
     ["headline", "--method", "closed"],      # --method is fig3/fig5 only
     ["mc-verify", "--seed", "1", "--method", "exact"],
     ["fig3", "--method", "mc"],
+    ["fig3", "--seed", "1"],                 # --seed/--trials: fig4 and
+    ["fig5", "--trials", "1000"],            # mc-verify only
+    ["headline", "--seed", "1"],
+    ["headline", "--trials", "1000"],
+    ["fig4", "--seed", "-1"],                # master seeds are >= 0
 ])
 def test_usage_errors_exit_one(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -263,3 +269,42 @@ def test_cli_import_leaves_scipy_stats_out():
     env = dict(os.environ, PYTHONPATH=str(Path(paharq.__file__).parents[1]))
     code = "import sys, paharq.cli; sys.exit('scipy.stats' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def _crc(coords):
+    return zlib.crc32("|".join(cli._fmt(c) for c in coords).encode())
+
+
+def test_row_seeds_do_not_swap_between_master_seeds():
+    # with the master XOR-ed with a CRC of the coordinates, master seeds s
+    # and s ^ crc(a) ^ crc(b) gave rows a and b each other's streams
+    a = ("fig4", 0.01, 2.0, "rtd")
+    b = ("fig4", 0.001, 2.0, "rtd")
+    s = 20260808
+    t = s ^ _crc(a) ^ _crc(b)
+    assert cli._row_seed(t, *b) != cli._row_seed(s, *a)
+    assert cli._row_seed(t, *a) != cli._row_seed(s, *b)
+
+
+def test_row_seeds_distinct_over_default_coordinates():
+    fig4 = cli.DEFAULTS["fig4"]
+    verify = cli.DEFAULTS["mc-verify"]
+    coords = [("fig4", eps, rate, proto) for eps in fig4["eps"]
+              for rate in fig4["rate"] for proto in fig4["protocols"]]
+    coords += [(kind, proto, eps, sigma) for kind in ("cl", "cf")
+               for proto in ("rtd", "inr") for eps in verify["eps"]
+               for sigma in verify["sigma"]]
+    coords += [("ol", proto, rate, p_db) for proto in ("rtd", "inr")
+               for rate in verify["open_loop_rate"]
+               for p_db in verify["open_loop_power_db"]]
+    coords += [("nr", rate, p_db) for rate in verify["open_loop_rate"]
+               for p_db in verify["open_loop_power_db"]]
+    seeds = {cli._row_seed(master, *c) for master in range(100)
+             for c in coords}
+    assert len(seeds) == 100 * len(coords)
+    assert all(0 <= seed < 2**63 for seed in seeds)
+
+
+def test_row_seed_pinned_value():
+    # SeedSequence(1, spawn_key=bytes of "fig4|0.01|2|rtd"), masked to 63 bits
+    assert cli._row_seed(1, "fig4", 0.01, 2.0, "rtd") == 3681226960660758955

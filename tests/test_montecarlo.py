@@ -165,6 +165,19 @@ class TestOpenLoopConditional:
         se = math.sqrt(exact * (1 - exact) / rep.n_trials)
         assert abs(rep.cond_round2_outage - exact) < 3 * se
 
+    def test_trial_prefix_stability(self):
+        # batch j has its own counter-offset stream and slices its g1 draw
+        # from a full batch, so a whole first batch counts the same in any
+        # longer run: trials added after it add at most one outage each
+        one = run_open_loop_conditional(10.0, 2.0, 0.8, Protocol.RTD,
+                                        n_trials=BATCH_SIZE, seed=35)
+        assert 0 < one.n_outage < BATCH_SIZE
+        for extra in (1, 7, BATCH_SIZE):
+            longer = run_open_loop_conditional(10.0, 2.0, 0.8, Protocol.RTD,
+                                               n_trials=BATCH_SIZE + extra,
+                                               seed=35)
+            assert 0 <= longer.n_outage - one.n_outage <= extra
+
     def test_deterministic(self):
         a = run_open_loop_conditional(10.0, 2.0, 0.8, Protocol.INR,
                                       n_trials=30_000, seed=34)

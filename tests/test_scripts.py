@@ -3,6 +3,8 @@ import json
 import tempfile
 from pathlib import Path
 
+from paharq import cli
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_figures.py"
 
 
@@ -31,3 +33,19 @@ def test_quick_run_leaves_no_temp_files(tmp_path, monkeypatch):
     assert configs == {command: overrides for command, overrides
                        in script.QUICK_OVERRIDES.items() if overrides}
     assert list(temp.iterdir()) == []
+
+
+def test_every_command_gets_only_flags_it_takes(tmp_path, monkeypatch):
+    script = load_script()
+    parser = cli._build_parser()
+    parsed = {}
+
+    def fake_main(argv):
+        parsed[argv[0]] = parser.parse_args(argv)  # a usage error exits 1
+        return 0
+
+    monkeypatch.setattr(script, "cli_main", fake_main)
+    assert script.run(tmp_path / "out", seed=5, workers=1, quick=True) == 0
+    assert set(parsed) == {"fig3", "fig4", "fig5", "headline", "mc-verify"}
+    assert {command for command, args in parsed.items()
+            if getattr(args, "seed", None) == 5} == {"fig4", "mc-verify"}
