@@ -3,7 +3,7 @@
 
 Writes fig3.csv, fig4.csv, fig5.csv, headline.csv and mc_verify.csv into
 the output directory.  The numeric-exact sweeps dominate the runtime:
---quick took 237 s with one worker on a 2-vCPU Intel Xeon, and the full
+--quick took 96 s with one worker on a 2-vCPU Intel Xeon, and the full
 speed sweep has four times as many points.  Pass --workers to spread
 sweep points over processes, or --quick for a coarse preview grid.
 """

@@ -45,7 +45,6 @@ from .montecarlo import (
     run_open_loop_conditional,
 )
 from .special import (
-    bessel_i,
     inv_marcum_q1,
     inv_marcum_q1_asymptotic,
     lambert_w,

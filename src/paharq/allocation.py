@@ -56,7 +56,8 @@ _EDGES = np.concatenate(([0.0], QUANTILE_KNOTS[0] * 2.0 ** np.arange(-14, 0),
 _BATCH = 2
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_LN10_OVER_10 = math.log(10.0) / 10.0
+# golden section's bracket width on log p1: 1e-3 dB
+_TOL_LOG_P1 = 1e-3 * (math.log(10.0) / 10.0)
 
 
 class ClosedFormDomainError(ValueError):
@@ -246,13 +247,12 @@ def optimal_p1_numeric(cfg: HarqConfig, sigma: float,
                        quantile: GainQuantile | None = None,
                        p_lo: float = 1e-3, p_hi: float = 1e8,
                        p_hi_max: float = 1e12,
-                       grid_points: int = 200,
-                       tol_db: float = 1e-3) -> PowerSolution:
+                       grid_points: int = 200) -> PowerSolution:
     """Minimize the quadrature objective over log p1.
 
     A log-spaced grid scan locates the bracket (and audits unimodality:
     extra local minima are counted in the diagnostics and the global grid
-    argmin wins); golden section then resolves p1 to `tol_db`.  The upper
+    argmin wins); golden section then resolves p1 to 1e-3 dB.  The upper
     bound expands tenfold, up to `p_hi_max`, while the objective is still
     decreasing at the edge.
     """
@@ -274,8 +274,7 @@ def optimal_p1_numeric(cfg: HarqConfig, sigma: float,
     interior = (ys[1:-1] < ys[:-2]) & (ys[1:-1] < ys[2:])
     n_local_minima = int(interior.sum())
     t_opt = golden_section_min(obj, ts[max(i - 1, 0)],
-                               ts[min(i + 1, grid_points - 1)],
-                               tol_db * _LN10_OVER_10)
+                               ts[min(i + 1, grid_points - 1)], _TOL_LOG_P1)
     p1 = math.exp(t_opt)
     return PowerSolution(
         p1=p1,

@@ -101,19 +101,18 @@ def open_loop_outage_exact(P: float, rate: float, sigma: float,
 
 
 def open_loop_round_power(target_eps: float, rate: float, sigma: float,
-                          protocol: Protocol = Protocol.RTD,
-                          p_lo: float = 1e-6, p_hi: float = 1e12) -> float:
+                          protocol: Protocol = Protocol.RTD) -> float:
     """Per-round power P with closed-form outage equal to target_eps.
 
     The closed form is monotone decreasing in P; bisection on log P to
     0.001 dB.  Raises InfeasibleError when the target is below the outage
-    floor at p_hi or above the saturation value at p_lo.
+    floor at 1e12 or above the saturation value at 1e-6.
     """
     if not 0.0 < target_eps < 1.0:
         raise ValueError(f"target_eps must be in (0, 1), got {target_eps}")
     zeta = zeta_rtd_closed if protocol is Protocol.RTD else zeta_inr_closed
     f = lambda lp: zeta(math.exp(lp), rate, sigma) - target_eps
-    lo, hi = math.log(p_lo), math.log(p_hi)
+    lo, hi = math.log(1e-6), math.log(1e12)
     if f(lo) < 0.0 or f(hi) > 0.0:
         raise InfeasibleError(
             f"outage target {target_eps} unreachable for rate={rate}, "

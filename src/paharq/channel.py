@@ -19,7 +19,6 @@ from scipy.interpolate import PchipInterpolator
 
 from .special import (
     inv_marcum_q1,
-    inv_marcum_q1_asymptotic,
     marcum_q1,  # noqa: F401  (re-exported; perfbench's tracer test reads it)
     weibull_fit_parameters,
 )
@@ -116,10 +115,6 @@ class ChannelParams:
         return cls(sigma=sigma, geometry=geometry)
 
 
-def _noncentrality(g1: float, sigma: float) -> float:
-    return math.sqrt(2.0 * g1 * (1.0 - sigma * sigma)) / sigma
-
-
 def cond_cdf_g2(x: float, g1: float, sigma: float) -> float:
     """P(g2 <= x | g1): the noncentral chi-square CDF of 2 g2 / sigma^2.
 
@@ -138,54 +133,49 @@ def cond_cdf_g2(x: float, g1: float, sigma: float) -> float:
                                    2.0 * g1 * (1.0 - s2) / s2))
 
 
-def inv_cond_cdf_g2(eps: float, g1: float, sigma: float,
-                    method: QuantileMethod = QuantileMethod.EXACT) -> float:
-    """eps-quantile of g2 given g1.
+def inv_cond_cdf_g2(eps: float, g1, sigma: float,
+                    method: QuantileMethod = QuantileMethod.EXACT):
+    """eps-quantile of g2 given g1, elementwise over an array g1.
 
-    EXACT inverts the Marcum tail numerically; WEIBULL inverts the
-    stretched-exponential fit in closed form; ASYMPTOTIC uses the
-    small-quantile expression sigma^2 |log(1-eps)| exp(g1 (1-sigma^2)/sigma^2).
+    EXACT inverts the Marcum tail numerically, one Brent solve per element;
+    WEIBULL inverts the stretched-exponential fit in closed form;
+    ASYMPTOTIC uses the small-quantile expression
+    sigma^2 |log(1-eps)| exp(g1 (1-sigma^2)/sigma^2).  A scalar g1 gives
+    a float.
     """
     _check_sigma(sigma)
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
-    if g1 < 0:
-        raise ValueError(f"g1 must be >= 0, got {g1}")
-    s = _noncentrality(g1, sigma)
-    if method is QuantileMethod.EXACT:
-        rho = inv_marcum_q1(s, 1.0 - eps)
-        return 0.5 * sigma * sigma * rho * rho
-    if method is QuantileMethod.WEIBULL:
-        scale, shape = weibull_fit_parameters(s)
-        rho2 = (-math.log1p(-eps) / scale) ** (2.0 / shape)
-        return 0.5 * sigma * sigma * float(rho2)
+    g = np.asarray(g1, dtype=float)
+    if np.any(g < 0):
+        raise ValueError(f"g1 must be >= 0, got {g.min()}")
+    # a scalar runs as a one-element array, through the same ufunc loops
+    # as an element of an array call
+    g = g.reshape(-1)
+    s2 = sigma * sigma
     if method is QuantileMethod.ASYMPTOTIC:
-        rho = inv_marcum_q1_asymptotic(s, eps)
-        return 0.5 * sigma * sigma * rho * rho
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _quantile_weibull_vec(eps: float, g1, sigma: float):
-    g1 = np.asarray(g1, dtype=float)
-    s = np.sqrt(2.0 * g1 * (1.0 - sigma * sigma)) / sigma
-    scale, shape = weibull_fit_parameters(s)
-    rho2 = (-np.log1p(-eps) / scale) ** (2.0 / shape)
-    return 0.5 * sigma * sigma * rho2
-
-
-def _quantile_asymptotic_vec(eps: float, g1, sigma: float):
-    g1 = np.asarray(g1, dtype=float)
-    return (-sigma * sigma * np.log1p(-eps)
-            * np.exp(g1 * (1.0 - sigma * sigma) / (sigma * sigma)))
+        x = -s2 * np.log1p(-eps) * np.exp(g * (1.0 - s2) / s2)
+    else:
+        s = np.sqrt(2.0 * g * (1.0 - s2)) / sigma
+        if method is QuantileMethod.EXACT:
+            rho = np.array([inv_marcum_q1(si, 1.0 - eps) for si in s.tolist()])
+            x = 0.5 * s2 * rho * rho
+        elif method is QuantileMethod.WEIBULL:
+            scale, shape = weibull_fit_parameters(s)
+            x = 0.5 * s2 * (-np.log1p(-eps) / scale) ** (2.0 / shape)
+        else:
+            raise ValueError(f"unknown method {method!r}")
+    return float(x[0]) if np.ndim(g1) == 0 else x.reshape(np.shape(g1))
 
 
 class GainQuantile:
     """Vectorized eps-quantile of g2 given g1, for a fixed (eps, sigma).
 
-    The closed-form methods evaluate directly.  The exact method solves the
-    Marcum inverse on the QUANTILE_KNOTS g1 grid once and interpolates
-    log-quantile against log-g1 with a monotone cubic; interpolation error
-    is orders of magnitude below the Monte Carlo resolutions it feeds.
+    The closed-form methods evaluate inv_cond_cdf_g2 directly.  The exact
+    method solves the Marcum inverse at g1 = 0 and on the QUANTILE_KNOTS
+    grid once and interpolates log-quantile against log-g1 with a monotone
+    cubic; interpolation error is orders of magnitude below the Monte Carlo
+    resolutions it feeds.
     """
 
     def __init__(self, eps: float, sigma: float,
@@ -197,24 +187,19 @@ class GainQuantile:
         self.sigma = sigma
         self.method = method
         if method is QuantileMethod.EXACT:
-            grid = QUANTILE_KNOTS
-            g_lo = grid[0]
-            vals = np.empty(grid.size)
-            for i, g in enumerate(grid):
-                vals[i] = inv_cond_cdf_g2(eps, g, sigma, QuantileMethod.EXACT)
-            self._x0 = inv_cond_cdf_g2(eps, 0.0, sigma, QuantileMethod.EXACT)
-            self._g_lo = g_lo
-            self._interp = PchipInterpolator(np.log(grid), np.log(vals),
-                                             extrapolate=True)
+            vals = inv_cond_cdf_g2(eps, np.concatenate(([0.0], QUANTILE_KNOTS)),
+                                   sigma, method)
+            self._x0 = vals[0]
+            self._interp = PchipInterpolator(np.log(QUANTILE_KNOTS),
+                                             np.log(vals[1:]), extrapolate=True)
 
     def __call__(self, g1):
+        if self.method is not QuantileMethod.EXACT:
+            return inv_cond_cdf_g2(self.eps, g1, self.sigma, self.method)
         g1 = np.asarray(g1, dtype=float)
-        if self.method is QuantileMethod.WEIBULL:
-            return _quantile_weibull_vec(self.eps, g1, self.sigma)
-        if self.method is QuantileMethod.ASYMPTOTIC:
-            return _quantile_asymptotic_vec(self.eps, g1, self.sigma)
-        out = np.exp(self._interp(np.log(np.maximum(g1, self._g_lo))))
-        return np.where(g1 <= self._g_lo, self._x0, out)
+        g_lo = QUANTILE_KNOTS[0]
+        out = np.exp(self._interp(np.log(np.maximum(g1, g_lo))))
+        return np.where(g1 <= g_lo, self._x0, out)
 
 
 def sample_g1(rng: np.random.Generator, size=None):

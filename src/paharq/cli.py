@@ -71,7 +71,6 @@ from .montecarlo import (
     run_open_loop_conditional,
 )
 from .special import (
-    bessel_i,
     inv_marcum_q1,
     inv_marcum_q1_asymptotic,
     lambert_w,
@@ -205,36 +204,44 @@ def _binomial_se(p: float, n: int) -> float:
 # headline (gains over no retransmission) share one solve per point
 # ---------------------------------------------------------------------------
 
-def _solve_rows(fields, cfg, sigma, methods, no_retx=None, table=None):
-    """One row per method (`closed-form` or `numeric-<quantile method>`).
+def _solve_rows(fields, protocols, methods, no_retx=None):
+    """Per protocol, a list of one row per method (`closed-form` or
+    `numeric-<quantile method>`) at the point's eps, rate and sigma.
 
-    The exact quantile table is built at most once, or taken from `table`;
-    a failing method becomes a row with its `error` column set.
+    The protocols share one exact quantile table, built up front (an
+    invalid eps or sigma raises ValueError there); a failing method
+    becomes a row with its `error` column set.
     """
-    rows = []
-    for method in methods:
-        row = _row(method=method, **fields)
-        try:
-            if method == "closed-form":
-                sol = optimal_p1_closed_form(cfg, sigma)
-            elif method.startswith("numeric-"):
-                qmethod = QuantileMethod(method.removeprefix("numeric-"))
-                quantile = None
-                if qmethod is QuantileMethod.EXACT:
-                    if table is None:
-                        table = GainQuantile(cfg.eps, sigma, qmethod)
-                    quantile = table
-                sol = optimal_p1_numeric(cfg, sigma, qmethod, quantile=quantile)
-            else:
-                raise ValueError(f"unknown method {method!r}")
-            row.update(p1=sol.p1, p1_db=sol.p1_db, avg_power=sol.avg_power,
-                       avg_power_db=sol.avg_power_db)
-            if no_retx is not None:
-                row["gain_db_vs_no_retx"] = _db(no_retx) - sol.avg_power_db
-        except _ROW_ERRORS as exc:
-            row["error"] = str(exc)
-        rows.append(row)
-    return rows
+    eps, rate, sigma = fields["eps"], fields["rate"], fields["sigma"]
+    table = None
+    if "numeric-exact" in methods:
+        table = GainQuantile(eps, sigma, QuantileMethod.EXACT)
+    blocks = []
+    for protocol in map(Protocol, protocols):
+        cfg = HarqConfig(protocol=protocol, rate=rate, eps=eps)
+        rows = []
+        for method in methods:
+            row = _row(method=method, protocol=protocol.value, **fields)
+            try:
+                if method == "closed-form":
+                    sol = optimal_p1_closed_form(cfg, sigma)
+                elif method.startswith("numeric-"):
+                    qmethod = QuantileMethod(method.removeprefix("numeric-"))
+                    quantile = table if qmethod is QuantileMethod.EXACT else None
+                    sol = optimal_p1_numeric(cfg, sigma, qmethod,
+                                             quantile=quantile)
+                else:
+                    raise ValueError(f"unknown method {method!r}")
+                row.update(p1=sol.p1, p1_db=sol.p1_db,
+                           avg_power=sol.avg_power,
+                           avg_power_db=sol.avg_power_db)
+                if no_retx is not None:
+                    row["gain_db_vs_no_retx"] = _db(no_retx) - sol.avg_power_db
+            except _ROW_ERRORS as exc:
+                row["error"] = str(exc)
+            rows.append(row)
+        blocks.append(rows)
+    return blocks
 
 
 def _no_retx_row(no_retx, **fields):
@@ -243,51 +250,49 @@ def _no_retx_row(no_retx, **fields):
 
 
 def _fig3_point(args):
-    eps, rate, sigma, protocol_name, methods = args
-    protocol = Protocol(protocol_name)
-    fields = dict(figure="fig3", eps=eps, rate=rate, sigma=sigma,
-                  protocol=protocol.value)
+    eps, rate, sigma, protocols, methods = args
+    fields = dict(figure="fig3", eps=eps, rate=rate, sigma=sigma)
     no_retx = no_retx_required_power(eps, rate)
-    rows = _solve_rows(fields, HarqConfig(protocol=protocol, rate=rate, eps=eps),
-                       sigma, methods, no_retx)
-    solved = {r["method"]: r["avg_power_db"] for r in rows if not r["error"]}
-    if "closed-form" in solved and "numeric-exact" in solved:
-        for row in rows:
-            if row["method"] == "closed-form":
-                row.update(check="closed_vs_numeric_gap_db",
-                           reference=solved["numeric-exact"],
-                           estimate=solved["closed-form"])
-    rows.append(_no_retx_row(no_retx, **fields))
-    return rows
+    out = []
+    for protocol, rows in zip(protocols,
+                              _solve_rows(fields, protocols, methods, no_retx)):
+        solved = {r["method"]: r["avg_power_db"] for r in rows if not r["error"]}
+        if "closed-form" in solved and "numeric-exact" in solved:
+            for row in rows:
+                if row["method"] == "closed-form":
+                    row.update(check="closed_vs_numeric_gap_db",
+                               reference=solved["numeric-exact"],
+                               estimate=solved["closed-form"])
+        out += rows + [_no_retx_row(no_retx, protocol=Protocol(protocol).value,
+                                    **fields)]
+    return out
 
 
 def run_fig3(config: dict, workers: int = 1):
     methods = list(config["methods"])
-    points = [(eps, rate, float(config["sigma"]), proto, methods)
+    points = [(eps, rate, float(config["sigma"]), config["protocols"], methods)
               for rate in _as_list(config["rate"])
-              for eps in _as_list(config["eps"])
-              for proto in config["protocols"]]
+              for eps in _as_list(config["eps"])]
     return _map_rows(_fig3_point, points, workers)
 
 
 def _fig5_point(args):
-    v_kmh, da_wl, rate, eps, delta, f_c, protocol_name, methods = args
-    protocol = Protocol(protocol_name)
+    v_kmh, da_wl, rate, eps, delta, f_c, protocols, methods = args
     wavelength = SPEED_OF_LIGHT / f_c
     sigma = sigma_from_geometry(v_kmh / 3.6, delta, f_c, da_wl * wavelength)
     fields = dict(figure="fig5", eps=eps, rate=rate, sigma=sigma, v_kmh=v_kmh,
-                  d_a_wavelengths=da_wl, protocol=protocol.value)
-    return _solve_rows(fields, HarqConfig(protocol=protocol, rate=rate, eps=eps),
-                       sigma, methods)
+                  d_a_wavelengths=da_wl)
+    return [row for rows in _solve_rows(fields, protocols, methods)
+            for row in rows]
 
 
 def run_fig5(config: dict, workers: int = 1):
     methods = list(config["methods"])
     points = [(v, da, float(config["rate"]), float(config["eps"]),
-               float(config["delta"]), float(config["f_c"]), proto, methods)
+               float(config["delta"]), float(config["f_c"]),
+               config["protocols"], methods)
               for da in _as_list(config["d_a_wavelengths"])
-              for v in _as_list(config["v_kmh"])
-              for proto in config["protocols"]]
+              for v in _as_list(config["v_kmh"])]
     return _map_rows(_fig5_point, points, workers)
 
 
@@ -297,15 +302,10 @@ def run_headline(config: dict):
     sigma = float(config["sigma"])
     fields = dict(figure="headline", eps=eps, rate=rate, sigma=sigma)
     no_retx = no_retx_required_power(eps, rate)
-    rows = [_no_retx_row(no_retx, protocol="none", **fields)]
-    # both protocols share one exact quantile table
-    table = GainQuantile(eps, sigma, QuantileMethod.EXACT)
-    for protocol in (Protocol.RTD, Protocol.INR):
-        rows += _solve_rows(dict(fields, protocol=protocol.value),
-                            HarqConfig(protocol=protocol, rate=rate, eps=eps),
-                            sigma, ("closed-form", "numeric-exact"), no_retx,
-                            table)
-    return rows
+    blocks = _solve_rows(fields, (Protocol.RTD, Protocol.INR),
+                         ("closed-form", "numeric-exact"), no_retx)
+    return ([_no_retx_row(no_retx, protocol="none", **fields)]
+            + [row for rows in blocks for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +490,6 @@ def _op_registry():
     return {
         "theta": (theta, ["rate"]),
         "theta1": (theta1, ["rate"]),
-        "bessel-i": (lambda n, x: bessel_i(int(n), x), ["n", "x"]),
         "marcum-q1": (marcum_q1, ["s", "rho"]),
         "marcum-q1-weibull": (marcum_q1_weibull, ["s", "rho"]),
         "inv-marcum-q1": (inv_marcum_q1, ["s", "p"]),

@@ -69,6 +69,39 @@ class HarqConfig:
         return theta1(self.rate)
 
 
+def _round_two_numerator(protocol: Protocol, cfg: HarqConfig,
+                         method: QuantileMethod, g1, p1,
+                         jensen_fallback: bool = True):
+    """Numerator of P2 = numerator / quantile (p2_rtd and p2_inr give the
+    formulas), and the mask of failed round-one points where INR's Jensen
+    numerator is nonpositive (all False unless INR with ASYMPTOTIC).  There
+    the exact numerator stands in if `jensen_fallback` (the transmitter must
+    still spend power); zero is the convention the closed forms integrate.
+    g1 and p1 broadcast.
+    """
+    gap = cfg.theta - g1 * p1
+    failed = gap > 0.0
+    fallback = np.zeros(np.shape(failed), dtype=bool)
+    if protocol is Protocol.RTD:
+        return np.where(failed, gap, 0.0), fallback
+    num = np.where(failed, gap / (1.0 + g1 * p1), 0.0)
+    if method is QuantileMethod.ASYMPTOTIC:
+        jensen = cfg.theta1 - g1 * p1
+        fallback = failed & (jensen <= 0.0)
+        jensen = np.where(failed & ~fallback, jensen, 0.0)
+        num = np.where(fallback, num, jensen) if jensen_fallback else jensen
+    return num, fallback
+
+
+def _p2(protocol, g1, cfg, sigma, method, jensen_fallback=True) -> float:
+    # pointwise: EXACT divides by the Brent inverse, not a table
+    num, _ = _round_two_numerator(protocol, cfg, method, g1, _require_p1(cfg),
+                                  jensen_fallback)
+    if num <= 0.0:
+        return 0.0
+    return float(num / inv_cond_cdf_g2(cfg.eps, g1, sigma, method))
+
+
 def p2_rtd(g1: float, cfg: HarqConfig, sigma: float,
            method: QuantileMethod = QuantileMethod.EXACT) -> float:
     """Round-two power for RTD: (theta - g1 p1) / quantile, 0 once decoded.
@@ -76,39 +109,21 @@ def p2_rtd(g1: float, cfg: HarqConfig, sigma: float,
     With the ASYMPTOTIC quantile this is the closed-form rule
     (theta - g1 p1) exp(-g1 (1-sigma^2)/sigma^2) / (-sigma^2 log(1-eps)).
     """
-    p1 = _require_p1(cfg)
-    gap = cfg.theta - g1 * p1
-    if gap <= 0.0:
-        return 0.0
-    return gap / inv_cond_cdf_g2(cfg.eps, g1, sigma, method)
+    return _p2(Protocol.RTD, g1, cfg, sigma, method)
 
 
 def p2_inr(g1: float, cfg: HarqConfig, sigma: float,
            method: QuantileMethod = QuantileMethod.EXACT,
            jensen_fallback: bool = True) -> float:
-    """Round-two power for INR; 0 once round one decodes.
+    """Round-two power for INR: (theta - g1 p1)/(1 + g1 p1) / quantile, 0
+    once decoded.
 
-    The exact numerator is e^{rate - log(1+g1 p1)} - 1, equivalently
-    (theta - g1 p1)/(1 + g1 p1).  The ASYMPTOTIC method uses the Jensen
-    numerator (theta1 - g1 p1)+ instead; where that is nonpositive while
-    decoding genuinely failed, the exact numerator is substituted when
-    `jensen_fallback` is set (the transmitter must still spend power), and
-    zero is kept otherwise (the analysis-side convention integrated by the
-    closed forms).
+    The ASYMPTOTIC method uses the Jensen numerator (theta1 - g1 p1)+
+    instead; where that is nonpositive while round one failed, the exact
+    numerator is substituted if `jensen_fallback` is set, and zero is kept
+    otherwise.
     """
-    p1 = _require_p1(cfg)
-    gap = cfg.theta - g1 * p1
-    if gap <= 0.0:
-        return 0.0
-    if method is QuantileMethod.ASYMPTOTIC:
-        num = cfg.theta1 - g1 * p1
-        if num <= 0.0:
-            if not jensen_fallback:
-                return 0.0
-            num = gap / (1.0 + g1 * p1)
-    else:
-        num = gap / (1.0 + g1 * p1)
-    return num / inv_cond_cdf_g2(cfg.eps, g1, sigma, method)
+    return _p2(Protocol.INR, g1, cfg, sigma, method, jensen_fallback)
 
 
 class P2Rule:
@@ -137,30 +152,15 @@ class P2Rule:
 
     def jensen_fallback_mask(self, g1) -> np.ndarray:
         """Failed-round-one points where the Jensen numerator is nonpositive."""
-        g1 = np.asarray(g1, dtype=float)
-        p1 = _require_p1(self.cfg)
-        mask = (g1 * p1 < self.cfg.theta) & (self.cfg.theta1 - g1 * p1 <= 0.0)
-        if not (self.cfg.protocol is Protocol.INR
-                and self.method is QuantileMethod.ASYMPTOTIC):
-            return np.zeros_like(mask)
-        return mask
+        return _round_two_numerator(self.cfg.protocol, self.cfg, self.method,
+                                    np.asarray(g1, dtype=float),
+                                    _require_p1(self.cfg))[1]
 
     def __call__(self, g1, p1=None) -> np.ndarray:
         g1 = np.asarray(g1, dtype=float)
         p1 = _require_p1(self.cfg) if p1 is None else np.asarray(p1, float)
-        gap = self.cfg.theta - g1 * p1
-        failed = gap > 0.0
-        if self.cfg.protocol is Protocol.RTD:
-            num = np.where(failed, gap, 0.0)
-        else:
-            exact_num = np.where(failed, gap / (1.0 + g1 * p1), 0.0)
-            if self.method is QuantileMethod.ASYMPTOTIC:
-                num = np.maximum(self.cfg.theta1 - g1 * p1, 0.0)
-                num = np.where(failed, num, 0.0)
-                if self.jensen_fallback:
-                    num = np.where(failed & (num <= 0.0), exact_num, num)
-            else:
-                num = exact_num
+        num, _ = _round_two_numerator(self.cfg.protocol, self.cfg, self.method,
+                                      g1, p1, self.jensen_fallback)
         with np.errstate(invalid="ignore"):
             p2 = np.where(num > 0.0, num / self.quantile(g1), 0.0)
         return p2

@@ -20,6 +20,8 @@ from .channel import GainQuantile, QuantileMethod, sample_g1, sample_g2_given_g1
 from .harq import HarqConfig, P2Rule, Protocol, theta
 
 BATCH_SIZE = 1 << 16
+# run_open_loop's conditional estimate needs this many round-two trials
+_MIN_CONDITIONED = 100
 
 
 class DegenerateConditioningError(RuntimeError):
@@ -54,10 +56,10 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
         np.random.Philox(key=seed, counter=batch_index << 192))
 
 
-def _batches(n_trials: int, batch_size: int):
-    n_batches = (n_trials + batch_size - 1) // batch_size
+def _batches(n_trials: int):
+    n_batches = (n_trials + BATCH_SIZE - 1) // BATCH_SIZE
     for j in range(n_batches):
-        yield j, min(batch_size, n_trials - j * batch_size)
+        yield j, min(BATCH_SIZE, n_trials - j * BATCH_SIZE)
 
 
 def _finalize(n_trials, seed, n_round2, n_outage, power_sums, power_sqsums,
@@ -89,8 +91,7 @@ def run_closed_loop(cfg: HarqConfig, sigma: float,
                     method: QuantileMethod = QuantileMethod.EXACT,
                     n_trials: int = 100_000, seed: int = 0,
                     jensen_fallback: bool = True,
-                    quantile: GainQuantile | None = None,
-                    batch_size: int = BATCH_SIZE) -> MCReport:
+                    quantile: GainQuantile | None = None) -> MCReport:
     """Simulate the feedback scheme: blind round one at cfg.p1, then a
     g1-adapted round two using the selected quantile method.
 
@@ -109,12 +110,13 @@ def run_closed_loop(cfg: HarqConfig, sigma: float,
     n_outage = 0
     fallback = 0
     sums, sqsums = [], []
-    for j, m in _batches(n_trials, batch_size):
+    for j, m in _batches(n_trials):
         rng = _batch_rng(seed, j)
-        g1 = sample_g1(rng, size=batch_size)[:m]
+        g1 = sample_g1(rng, size=BATCH_SIZE)[:m]
         failed = g1 * p1 < th
         g1f = g1[failed]
         p2 = rule(g1f)
+        fallback += int(rule.jensen_fallback_mask(g1f).sum())
         g2 = sample_g2_given_g1(rng, g1f, sigma)
         if cfg.protocol is Protocol.RTD:
             out2 = g1f * p1 + g2 * p2 < th
@@ -122,7 +124,6 @@ def run_closed_loop(cfg: HarqConfig, sigma: float,
             out2 = np.log1p(g1f * p1) + np.log1p(g2 * p2) < cfg.rate
         n_round2 += int(failed.sum())
         n_outage += int(out2.sum())
-        fallback += int(rule.jensen_fallback_mask(g1f).sum())
         spent = np.full(m, p1)
         spent[failed] += p2
         sums.append(float(spent.sum()))
@@ -132,14 +133,12 @@ def run_closed_loop(cfg: HarqConfig, sigma: float,
 
 
 def run_open_loop(P: float, rate: float, sigma: float, protocol: Protocol,
-                  n_trials: int = 100_000, seed: int = 0,
-                  batch_size: int = BATCH_SIZE,
-                  min_conditioned: int = 100) -> MCReport:
+                  n_trials: int = 100_000, seed: int = 0) -> MCReport:
     """Simulate equal-power two-round HARQ without feedback.
 
     The conditional outage is estimated by rejection: only trials whose
     first-round gain fails (g1 < theta/P) enter the denominator.  Raises
-    DegenerateConditioningError when fewer than `min_conditioned` survive.
+    DegenerateConditioningError when fewer than 100 survive.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -149,9 +148,9 @@ def run_open_loop(P: float, rate: float, sigma: float, protocol: Protocol,
     n_cond = 0
     n_out = 0
     sums, sqsums = [], []
-    for j, m in _batches(n_trials, batch_size):
+    for j, m in _batches(n_trials):
         rng = _batch_rng(seed, j)
-        g1 = sample_g1(rng, size=batch_size)[:m]
+        g1 = sample_g1(rng, size=BATCH_SIZE)[:m]
         cond = g1 * P < th
         g1c = g1[cond]
         g2 = sample_g2_given_g1(rng, g1c, sigma)
@@ -164,7 +163,7 @@ def run_open_loop(P: float, rate: float, sigma: float, protocol: Protocol,
         spent = np.where(cond, 2.0 * P, P)
         sums.append(float(spent.sum()))
         sqsums.append(float((spent * spent).sum()))
-    if n_cond < min_conditioned:
+    if n_cond < _MIN_CONDITIONED:
         raise DegenerateConditioningError(
             f"only {n_cond} of {n_trials} trials met g1 < theta/P "
             f"(P={P:.6g}, rate={rate}); conditional estimate unusable")
@@ -173,8 +172,7 @@ def run_open_loop(P: float, rate: float, sigma: float, protocol: Protocol,
 
 def run_open_loop_conditional(P: float, rate: float, sigma: float,
                               protocol: Protocol, n_trials: int = 100_000,
-                              seed: int = 0,
-                              batch_size: int = BATCH_SIZE) -> MCReport:
+                              seed: int = 0) -> MCReport:
     """Open-loop conditional outage with every trial inside the condition.
 
     Draws g1 directly from the unit exponential truncated to the
@@ -191,9 +189,9 @@ def run_open_loop_conditional(P: float, rate: float, sigma: float,
     th = theta(rate)
     p_cond = -math.expm1(-th / P)
     n_out = 0
-    for j, m in _batches(n_trials, batch_size):
+    for j, m in _batches(n_trials):
         rng = _batch_rng(seed, j)
-        u = rng.uniform(size=batch_size)[:m]
+        u = rng.uniform(size=BATCH_SIZE)[:m]
         g1 = -np.log1p(-u * p_cond)
         g2 = sample_g2_given_g1(rng, g1, sigma)
         if protocol is Protocol.RTD:
@@ -213,7 +211,7 @@ def run_open_loop_conditional(P: float, rate: float, sigma: float,
 
 
 def run_no_retx(P: float, rate: float, n_trials: int = 100_000,
-                seed: int = 0, batch_size: int = BATCH_SIZE) -> MCReport:
+                seed: int = 0) -> MCReport:
     """Simulate single-shot transmission; outage estimates 1 - e^{-theta/P}."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -221,9 +219,9 @@ def run_no_retx(P: float, rate: float, n_trials: int = 100_000,
         raise ValueError(f"P must be > 0, got {P}")
     th = theta(rate)
     n_out = 0
-    for j, m in _batches(n_trials, batch_size):
+    for j, m in _batches(n_trials):
         rng = _batch_rng(seed, j)
-        g1 = sample_g1(rng, size=batch_size)[:m]
+        g1 = sample_g1(rng, size=BATCH_SIZE)[:m]
         n_out += int((g1 * P < th).sum())
     outage = n_out / n_trials
     se = math.sqrt(outage * (1.0 - outage) / n_trials)

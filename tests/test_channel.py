@@ -142,6 +142,20 @@ class TestInverseConditionalCdf:
         with pytest.raises(ValueError):
             inv_cond_cdf_g2(1.0, 1.0, 0.8)
 
+    @pytest.mark.parametrize("method", list(QuantileMethod))
+    def test_array_equals_scalar_calls(self, method):
+        g1 = np.array([[0.0, 1e-9, 0.3], [1.0, 7.5, 45.0]])
+        vec = inv_cond_cdf_g2(1e-3, g1, 0.8, method)
+        assert vec.shape == g1.shape
+        scalar = [inv_cond_cdf_g2(1e-3, float(g), 0.8, method)
+                  for g in g1.ravel()]
+        np.testing.assert_array_equal(vec.ravel(), scalar)
+
+    def test_rejects_negative_gain_in_array(self):
+        with pytest.raises(ValueError):
+            inv_cond_cdf_g2(1e-3, np.array([1.0, -1e-3]), 0.8,
+                            QuantileMethod.ASYMPTOTIC)
+
 
 class TestGainQuantile:
     def test_table_matches_scalar_inverse(self, qcache):

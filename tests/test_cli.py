@@ -246,6 +246,35 @@ def test_quadrature_failure_becomes_row(tmp_path, monkeypatch):
     assert by_method["no-retx"]["error"] == ""
 
 
+@pytest.mark.parametrize("command,config", [
+    ("fig3", {"eps": [1e-2], "rate": [0.5], "sigma": 0.8}),
+    ("fig5", {"v_kmh": [60.0], "d_a_wavelengths": [1.5], "rate": 3.0,
+              "eps": 1e-3}),
+])
+def test_protocols_of_a_point_share_one_exact_table(tmp_path, monkeypatch,
+                                                    command, config):
+    builds = []
+
+    class CountingTable(cli.GainQuantile):
+        def __init__(self, *args, **kwargs):
+            builds.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "GainQuantile", CountingTable)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(config, protocols=["rtd", "inr"],
+                                    methods=["numeric-exact"])))
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    assert len(builds) == 1
+    rows = [(r["protocol"], r["method"]) for r in read_csv(out)]
+    expected = [("rtd", "numeric-exact"), ("inr", "numeric-exact")]
+    if command == "fig3":
+        expected = [("rtd", "numeric-exact"), ("rtd", "no-retx"),
+                    ("inr", "numeric-exact"), ("inr", "no-retx")]
+    assert rows == expected
+
+
 def test_mc_verify_workers_do_not_change_bytes(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from paharq.channel import QuantileMethod, cond_cdf_g2
+from paharq.channel import QUANTILE_KNOTS, QuantileMethod, cond_cdf_g2
 from paharq.harq import HarqConfig, P2Rule, Protocol, p2_inr, p2_rtd, theta, theta1
 
 
@@ -130,6 +130,33 @@ class TestP2Rule:
                 p2_rtd(float(g1), CFG_RTD, 0.8), rel=3e-5)
             assert vi[i] == pytest.approx(
                 p2_inr(float(g1), CFG_INR, 0.8), rel=3e-5)
+
+    @pytest.mark.parametrize("jensen_fallback", [True, False])
+    @pytest.mark.parametrize("method", [QuantileMethod.WEIBULL,
+                                        QuantileMethod.ASYMPTOTIC])
+    def test_closed_form_rules_equal_scalar_functions(self, method,
+                                                      jensen_fallback):
+        # from below theta1/p1 through the Jensen fallback region to past
+        # theta/p1, where round one decodes
+        g = np.array([0.0, 0.4, 1.0, 1.6, 2.0, 2.5, 3.0, 3.2, 4.0])
+        for cfg, scalar in (
+                (CFG_RTD, lambda x: p2_rtd(x, CFG_RTD, 0.8, method)),
+                (CFG_INR, lambda x: p2_inr(x, CFG_INR, 0.8, method,
+                                           jensen_fallback))):
+            rule = P2Rule(cfg, 0.8, method, jensen_fallback=jensen_fallback)
+            np.testing.assert_array_equal(rule(g),
+                                          [scalar(float(x)) for x in g])
+
+    def test_exact_rule_matches_scalar_functions_at_table_knots(self, qcache):
+        # at its knots the table reproduces the Brent inverse to rounding
+        # (at and below the first knot it returns the g1 = 0 quantile)
+        q = qcache.get(1e-3, 0.8)
+        g = QUANTILE_KNOTS[1::32]
+        for cfg, fn in ((CFG_RTD, p2_rtd), (CFG_INR, p2_inr)):
+            rule = P2Rule(cfg, 0.8, QuantileMethod.EXACT, quantile=q)
+            np.testing.assert_allclose(rule(g), [fn(float(x), cfg, 0.8)
+                                                 for x in g],
+                                       rtol=1e-12, atol=0.0)
 
     def test_nonnegative_and_zero_past_threshold(self, qcache):
         q = qcache.get(1e-3, 0.8)

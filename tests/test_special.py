@@ -217,6 +217,17 @@ class TestLambertW:
             assert lambert_w(x, branch=-1) == pytest.approx(
                 float(sp.lambertw(x, k=-1).real), rel=1e-12)
 
+    @pytest.mark.parametrize("delta", [1e-12, 1e-10, 1e-8])
+    def test_lower_branch_near_branch_point_against_mpmath(self, delta):
+        # the closed-form optimum evaluates W_-1 this close to -1/e at small
+        # eps, where scipy.special.lambertw(x, k=-1) (scipy 1.17.1) is off by
+        # 2.3e-6 relative at delta = 1e-12; the hand-rolled branch is kept
+        mpmath = pytest.importorskip("mpmath")
+        x = -1.0 / math.e + delta
+        with mpmath.workdps(50):
+            ref = float(mpmath.lambertw(mpmath.mpf(x), -1))
+        assert lambert_w(x, branch=-1) == pytest.approx(ref, rel=1e-9)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             lambert_w(-0.4)
