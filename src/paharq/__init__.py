@@ -35,7 +35,16 @@ from .channel import (
     sample_g2_given_g1,
     sigma_from_geometry,
 )
-from .harq import HarqConfig, P2Rule, Protocol, p2_inr, p2_rtd, theta, theta1
+from .harq import (
+    HarqConfig,
+    P2Rule,
+    PaharqError,
+    Protocol,
+    p2_inr,
+    p2_rtd,
+    theta,
+    theta1,
+)
 from .montecarlo import (
     DegenerateConditioningError,
     MCReport,

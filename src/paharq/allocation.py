@@ -17,8 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import G_MAX, QUANTILE_KNOTS, GainQuantile, QuantileMethod
-from .harq import HarqConfig, P2Rule, Protocol
+from .channel import (
+    G_MAX,
+    QUANTILE_KNOTS,
+    GainQuantile,
+    QuantileMethod,
+    _check_sigma,
+)
+from .harq import HarqConfig, P2Rule, PaharqError, Protocol
 from .special import lambert_w
 
 # 7-point Gauss / 15-point Kronrod rule on [-1, 1] (the QUADPACK qk15
@@ -60,7 +66,7 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _TOL_LOG_P1 = 1e-3 * (math.log(10.0) / 10.0)
 
 
-class ClosedFormDomainError(ValueError):
+class ClosedFormDomainError(PaharqError, ValueError):
     """The closed-form optimum is undefined for this (sigma, eps).
 
     Happens when m^2/c = |log(1-eps)|/sigma^2 >= 1, pushing the Lambert
@@ -69,11 +75,11 @@ class ClosedFormDomainError(ValueError):
     """
 
 
-class BracketError(RuntimeError):
+class BracketError(PaharqError, RuntimeError):
     """The average power was still decreasing at the largest bracket power."""
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(PaharqError, RuntimeError):
     """The averaged-power integral did not reach a usable error estimate."""
 
 
@@ -182,6 +188,7 @@ def closed_form_avg_power(p1: float, cfg: HarqConfig, sigma: float) -> float:
     """
     if p1 <= 0:
         raise ValueError(f"p1 must be > 0, got {p1}")
+    _check_sigma(sigma)
     m = m_coefficient(sigma)
     c = c_coefficient(cfg.eps, sigma)
     th = cfg.theta if cfg.protocol is Protocol.RTD else cfg.theta1
@@ -198,6 +205,7 @@ def optimal_p1_closed_form(cfg: HarqConfig, sigma: float) -> PowerSolution:
     The stationarity residual e^{-m th/p1}(m th/p1 + 1) - (1 - m^2/c) is
     recorded in the diagnostics.
     """
+    _check_sigma(sigma)
     m = m_coefficient(sigma)
     c = c_coefficient(cfg.eps, sigma)
     ratio = m * m / c

@@ -11,11 +11,11 @@ import math
 
 from scipy import integrate, optimize
 
-from .channel import cond_cdf_g2
-from .harq import Protocol, theta, theta1
+from .channel import _check_sigma, cond_cdf_g2
+from .harq import PaharqError, Protocol, theta, theta1
 
 
-class InfeasibleError(RuntimeError):
+class InfeasibleError(PaharqError, RuntimeError):
     """No power in the search range meets the requested outage target."""
 
 
@@ -147,5 +147,4 @@ def no_retx_required_power(target_eps: float, rate: float) -> float:
 def _check(P: float, sigma: float) -> None:
     if P <= 0:
         raise ValueError(f"P must be > 0, got {P}")
-    if not 0.0 < sigma <= 1.0:
-        raise ValueError(f"sigma must be in (0, 1], got {sigma}")
+    _check_sigma(sigma)

@@ -14,6 +14,12 @@ headline  power gains of the optimized schemes over no retransmission at
 eval      single-point evaluation of any registered operation
 mc-verify closed forms vs protocol-level simulation with z-scores
 
+The table `_COMMANDS` holds, per subcommand but eval, the flags it takes
+and its point grid: point functions and the config lists they run over,
+all run by `_run`.  fig3, fig5 and headline share one point function;
+their `_Sweep` data says what differs.  eval calls the package function
+named by its op, with the parameters read from its signature.
+
 Reproducibility: every row carries the master seed and the code version;
 per-row Monte Carlo seeds are spawned from the master seed's SeedSequence
 on the row's coordinate string, so a row's bytes do not depend on grid
@@ -26,30 +32,30 @@ column).
 
 import argparse
 import csv
+import inspect
+import itertools
 import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .allocation import (
-    BracketError,
-    ClosedFormDomainError,
-    QuadratureError,
     avg_power_given_p1,
     closed_form_avg_power,
     optimal_p1_closed_form,
     optimal_p1_numeric,
 )
 from .benchmarks import (
-    InfeasibleError,
     no_retx_outage,
     no_retx_required_power,
     open_loop_avg_power,
     open_loop_outage_exact,
-    open_loop_required_power,
     open_loop_round_power,
     zeta_inr_closed,
     zeta_rtd_closed,
@@ -58,24 +64,15 @@ from .channel import (
     SPEED_OF_LIGHT,
     GainQuantile,
     QuantileMethod,
-    cond_cdf_g2,
-    inv_cond_cdf_g2,
+    _check_sigma,
     sigma_from_geometry,
 )
-from .harq import HarqConfig, Protocol, p2_inr, p2_rtd, theta, theta1
+from .harq import HarqConfig, PaharqError, Protocol
 from .montecarlo import (
-    DegenerateConditioningError,
     run_closed_loop,
     run_no_retx,
     run_open_loop,
     run_open_loop_conditional,
-)
-from .special import (
-    inv_marcum_q1,
-    inv_marcum_q1_asymptotic,
-    lambert_w,
-    marcum_q1,
-    marcum_q1_weibull,
 )
 
 COLUMNS = [
@@ -92,8 +89,7 @@ FC_DEFAULT = 2.68e9         # carrier frequency [Hz]
 
 # failures that turn one row into an annotated error row instead of
 # aborting the sweep
-_ROW_ERRORS = (BracketError, QuadratureError, ClosedFormDomainError,
-               InfeasibleError, DegenerateConditioningError, ValueError)
+_ROW_ERRORS = (PaharqError, ValueError)
 
 DEFAULTS = {
     "fig3": {
@@ -162,6 +158,16 @@ def _row(**kw) -> dict:
     return row
 
 
+@contextmanager
+def _error_row(rows, coords, **extra):
+    """A row error raised in the block becomes one more row of `rows`:
+    `coords` as they stand when it is raised, `extra` and the message."""
+    try:
+        yield
+    except _ROW_ERRORS as exc:
+        rows.append(_row(error=str(exc), **coords, **extra))
+
+
 def _row_seed(master_seed: int, *coords) -> int:
     """63-bit Philox key of one row: the master seed's SeedSequence spawned
     on the bytes of the row's coordinate string, so no two master seeds
@@ -201,28 +207,57 @@ def _binomial_se(p: float, n: int) -> float:
 
 # ---------------------------------------------------------------------------
 # optimized sweeps: fig3 (vs outage target), fig5 (vs vehicle speed) and
-# headline (gains over no retransmission) share one solve per point
+# headline (gains over no retransmission) are one point function over data
 # ---------------------------------------------------------------------------
 
-def _solve_rows(fields, protocols, methods, no_retx=None):
-    """Per protocol, a list of one row per method (`closed-form` or
-    `numeric-<quantile method>`) at the point's eps, rate and sigma.
+class _Sweep(NamedTuple):
+    """An optimized sweep: the config lists whose product is its grid,
+    outermost first, and the config values every point carries.  No-retx
+    rows follow each protocol ("after"), lead ("first") or are left out;
+    protocols and methods not fixed here come from the config."""
 
-    The protocols share one exact quantile table, built up front (an
-    invalid eps or sigma raises ValueError there); a failing method
-    becomes a row with its `error` column set.
+    figure: str
+    grid: tuple
+    scalars: tuple
+    no_retx: str = ""
+    check: bool = False         # closed-vs-numeric gap on closed-form rows
+    protocols: tuple = ()
+    methods: tuple = ()
+
+
+def _sweep_point(sweep, config, master_seed, *coords):
+    """Per protocol, one row per method (`closed-form` or
+    `numeric-<quantile method>`), plus the no-retx rows.
+
+    A point without a sigma derives it from the drive geometry.  An
+    invalid sigma raises ValueError before any method runs; a failing
+    method becomes a row with its `error` column set.  The protocols share
+    one exact quantile table, built up front.
     """
+    fields = dict(zip(sweep.grid, coords), figure=sweep.figure,
+                  **{key: float(config[key]) for key in sweep.scalars})
+    protocols = sweep.protocols or config["protocols"]
+    methods = sweep.methods or config["methods"]
+    if "sigma" not in fields:
+        f_c = fields.pop("f_c")
+        fields["sigma"] = sigma_from_geometry(
+            fields["v_kmh"] / 3.6, fields.pop("delta"), f_c,
+            fields["d_a_wavelengths"] * (SPEED_OF_LIGHT / f_c))
     eps, rate, sigma = fields["eps"], fields["rate"], fields["sigma"]
+    _check_sigma(sigma)
+    no_retx = no_retx_required_power(eps, rate) if sweep.no_retx else None
     table = None
     if "numeric-exact" in methods:
         table = GainQuantile(eps, sigma, QuantileMethod.EXACT)
-    blocks = []
+    out = []
+    if sweep.no_retx == "first":
+        out.append(_no_retx_row(no_retx, protocol="none", **fields))
     for protocol in map(Protocol, protocols):
         cfg = HarqConfig(protocol=protocol, rate=rate, eps=eps)
         rows = []
         for method in methods:
-            row = _row(method=method, protocol=protocol.value, **fields)
-            try:
+            labels = dict(method=method, protocol=protocol.value, **fields)
+            with _error_row(rows, labels):
                 if method == "closed-form":
                     sol = optimal_p1_closed_form(cfg, sigma)
                 elif method.startswith("numeric-"):
@@ -232,16 +267,23 @@ def _solve_rows(fields, protocols, methods, no_retx=None):
                                              quantile=quantile)
                 else:
                     raise ValueError(f"unknown method {method!r}")
-                row.update(p1=sol.p1, p1_db=sol.p1_db,
-                           avg_power=sol.avg_power,
-                           avg_power_db=sol.avg_power_db)
+                gain = None
                 if no_retx is not None:
-                    row["gain_db_vs_no_retx"] = _db(no_retx) - sol.avg_power_db
-            except _ROW_ERRORS as exc:
-                row["error"] = str(exc)
-            rows.append(row)
-        blocks.append(rows)
-    return blocks
+                    gain = _db(no_retx) - sol.avg_power_db
+                rows.append(_row(p1=sol.p1, p1_db=sol.p1_db,
+                                 avg_power=sol.avg_power,
+                                 avg_power_db=sol.avg_power_db,
+                                 gain_db_vs_no_retx=gain, **labels))
+        solved = {r["method"]: r for r in rows if not r["error"]}
+        if sweep.check and {"closed-form", "numeric-exact"} <= solved.keys():
+            closed = solved["closed-form"]
+            closed.update(check="closed_vs_numeric_gap_db",
+                          reference=solved["numeric-exact"]["avg_power_db"],
+                          estimate=closed["avg_power_db"])
+        out += rows
+        if sweep.no_retx == "after":
+            out.append(_no_retx_row(no_retx, protocol=protocol.value, **fields))
+    return out
 
 
 def _no_retx_row(no_retx, **fields):
@@ -249,71 +291,24 @@ def _no_retx_row(no_retx, **fields):
                 gain_db_vs_no_retx=0.0, **fields)
 
 
-def _fig3_point(args):
-    eps, rate, sigma, protocols, methods = args
-    fields = dict(figure="fig3", eps=eps, rate=rate, sigma=sigma)
-    no_retx = no_retx_required_power(eps, rate)
-    out = []
-    for protocol, rows in zip(protocols,
-                              _solve_rows(fields, protocols, methods, no_retx)):
-        solved = {r["method"]: r["avg_power_db"] for r in rows if not r["error"]}
-        if "closed-form" in solved and "numeric-exact" in solved:
-            for row in rows:
-                if row["method"] == "closed-form":
-                    row.update(check="closed_vs_numeric_gap_db",
-                               reference=solved["numeric-exact"],
-                               estimate=solved["closed-form"])
-        out += rows + [_no_retx_row(no_retx, protocol=Protocol(protocol).value,
-                                    **fields)]
-    return out
-
-
-def run_fig3(config: dict, workers: int = 1):
-    methods = list(config["methods"])
-    points = [(eps, rate, float(config["sigma"]), config["protocols"], methods)
-              for rate in _as_list(config["rate"])
-              for eps in _as_list(config["eps"])]
-    return _map_rows(_fig3_point, points, workers)
-
-
-def _fig5_point(args):
-    v_kmh, da_wl, rate, eps, delta, f_c, protocols, methods = args
-    wavelength = SPEED_OF_LIGHT / f_c
-    sigma = sigma_from_geometry(v_kmh / 3.6, delta, f_c, da_wl * wavelength)
-    fields = dict(figure="fig5", eps=eps, rate=rate, sigma=sigma, v_kmh=v_kmh,
-                  d_a_wavelengths=da_wl)
-    return [row for rows in _solve_rows(fields, protocols, methods)
-            for row in rows]
-
-
-def run_fig5(config: dict, workers: int = 1):
-    methods = list(config["methods"])
-    points = [(v, da, float(config["rate"]), float(config["eps"]),
-               float(config["delta"]), float(config["f_c"]),
-               config["protocols"], methods)
-              for da in _as_list(config["d_a_wavelengths"])
-              for v in _as_list(config["v_kmh"])]
-    return _map_rows(_fig5_point, points, workers)
-
-
-def run_headline(config: dict):
-    eps = float(config["eps"])
-    rate = float(config["rate"])
-    sigma = float(config["sigma"])
-    fields = dict(figure="headline", eps=eps, rate=rate, sigma=sigma)
-    no_retx = no_retx_required_power(eps, rate)
-    blocks = _solve_rows(fields, (Protocol.RTD, Protocol.INR),
-                         ("closed-form", "numeric-exact"), no_retx)
-    return ([_no_retx_row(no_retx, protocol="none", **fields)]
-            + [row for rows in blocks for row in rows])
+# headline and mc-verify cover both protocols, whatever a config says
+_PROTOCOLS = ("rtd", "inr")
+_FIG3 = _Sweep("fig3", ("rate", "eps"), ("sigma",), no_retx="after",
+               check=True)
+_FIG5 = _Sweep("fig5", ("d_a_wavelengths", "v_kmh"),
+               ("rate", "eps", "delta", "f_c"))
+_HEADLINE = _Sweep("headline", (), ("eps", "rate", "sigma"), no_retx="first",
+                   protocols=_PROTOCOLS,
+                   methods=("closed-form", "numeric-exact"))
 
 
 # ---------------------------------------------------------------------------
 # fig4: open-loop required power vs outage target
 # ---------------------------------------------------------------------------
 
-def _fig4_point(args):
-    eps, rate, sigma, protocol_name, trials, master_seed = args
+def _fig4_point(config, master_seed, rate, eps, protocol_name):
+    sigma = float(config["sigma"])
+    trials = int(config.get("trials") or 0)
     protocol = Protocol(protocol_name)
     row = _row(figure="fig4", eps=eps, rate=rate, sigma=sigma,
                protocol=protocol.value, method="closed-form",
@@ -344,15 +339,6 @@ def _fig4_point(args):
     return rows
 
 
-def run_fig4(config: dict, master_seed: int, workers: int = 1):
-    trials = int(config.get("trials") or 0)
-    points = [(eps, rate, float(config["sigma"]), proto, trials, master_seed)
-              for rate in _as_list(config["rate"])
-              for eps in _as_list(config["eps"])
-              for proto in config["protocols"]]
-    return _map_rows(_fig4_point, points, workers)
-
-
 # ---------------------------------------------------------------------------
 # mc-verify: closed forms vs simulation
 # ---------------------------------------------------------------------------
@@ -371,46 +357,46 @@ def _z_row(check, reference, estimate, se, upper_bound=False, limit=3.0,
     return row
 
 
-def _closed_loop_rows(protocol_name, eps, sigma, rate, p1, trials, master_seed):
+def _closed_loop_rows(config, master_seed, protocol_name, eps, sigma):
     # the exact rule must hit the outage target, and the simulated average
     # power must match the quadrature objective
+    rate, p1 = float(config["rate"]), float(config["p1"])
+    trials = int(config["trials"])
     protocol = Protocol(protocol_name)
     cfg = HarqConfig(protocol=protocol, rate=rate, eps=eps, p1=p1)
     coords = dict(figure="mc-verify", eps=eps, rate=rate, sigma=sigma,
-                  protocol=protocol.value, n_trials=trials)
-    seed = _row_seed(master_seed, "cl", protocol.value, eps, sigma)
+                  protocol=protocol.value, n_trials=trials,
+                  seed=_row_seed(master_seed, "cl", protocol.value, eps, sigma))
     rows = []
-    try:
+    with _error_row(rows, coords, check="closed_loop"):
         quantile = GainQuantile(eps, sigma, QuantileMethod.EXACT)
         rep = run_closed_loop(cfg, sigma, QuantileMethod.EXACT,
-                              n_trials=trials, seed=seed, quantile=quantile)
+                              n_trials=trials, seed=coords["seed"],
+                              quantile=quantile)
         rows.append(_z_row(
             "closed_loop_conditional_outage", eps, rep.cond_round2_outage,
             _binomial_se(eps, rep.n_round2), method="exact",
-            n_denominator=rep.n_round2, seed=seed, **coords))
+            n_denominator=rep.n_round2, **coords))
         ref = avg_power_given_p1(p1, cfg, sigma, QuantileMethod.EXACT,
                                  quantile=quantile)
         rows.append(_z_row("closed_loop_avg_power", ref, rep.avg_power,
-                           rep.avg_power_se, method="exact", seed=seed,
-                           **coords))
+                           rep.avg_power_se, method="exact", **coords))
         # the closed-form average integrates the analysis-side rule
-        seed = _row_seed(master_seed, "cf", protocol.value, eps, sigma)
+        coords["seed"] = _row_seed(master_seed, "cf", protocol.value, eps,
+                                   sigma)
         rep = run_closed_loop(cfg, sigma, QuantileMethod.ASYMPTOTIC,
-                              n_trials=trials, seed=seed,
+                              n_trials=trials, seed=coords["seed"],
                               jensen_fallback=False)
         rows.append(_z_row(
             "closed_form_avg_power", closed_form_avg_power(p1, cfg, sigma),
-            rep.avg_power, rep.avg_power_se, method="asymptotic", seed=seed,
-            **coords))
-    except _ROW_ERRORS as exc:
-        rows.append(_row(check="closed_loop", seed=seed, error=str(exc),
-                         **coords))
+            rep.avg_power, rep.avg_power_se, method="asymptotic", **coords))
     return rows
 
 
-def _open_loop_rows(protocol_name, rate, p_db, sigma, trials, master_seed):
+def _open_loop_rows(config, master_seed, protocol_name, rate, p_db):
     # closed-form outage vs simulation (score-style se), plus the
     # exact-quadrature cross-check and the average power identity
+    sigma, trials = float(config["open_loop_sigma"]), int(config["trials"])
     protocol = Protocol(protocol_name)
     P = 10.0 ** (p_db / 10.0)
     seed = _row_seed(master_seed, "ol", protocol.value, rate, p_db)
@@ -418,7 +404,7 @@ def _open_loop_rows(protocol_name, rate, p_db, sigma, trials, master_seed):
                   protocol=protocol.value, round_power=P, n_trials=trials,
                   seed=seed)
     rows = []
-    try:
+    with _error_row(rows, coords, check="open_loop_outage"):
         rep = run_open_loop(P, rate, sigma, protocol, n_trials=trials,
                             seed=seed)
         exact = open_loop_outage_exact(P, rate, sigma, protocol)
@@ -439,138 +425,109 @@ def _open_loop_rows(protocol_name, rate, p_db, sigma, trials, master_seed):
         rows.append(_z_row("open_loop_avg_power",
                            open_loop_avg_power(P, rate), rep.avg_power,
                            rep.avg_power_se, **coords))
-    except _ROW_ERRORS as exc:
-        rows.append(_row(check="open_loop_outage", error=str(exc), **coords))
     return rows
 
 
-def _no_retx_rows(p_db, rate, trials, master_seed):
+def _no_retx_rows(config, master_seed, p_db, rate):
+    trials = int(config["trials"])
     P = 10.0 ** (p_db / 10.0)
     seed = _row_seed(master_seed, "nr", rate, p_db)
     coords = dict(figure="mc-verify", rate=rate, round_power=P,
                   n_trials=trials, seed=seed)
-    try:
+    rows = []
+    with _error_row(rows, coords, check="no_retx_outage"):
         rep = run_no_retx(P, rate, n_trials=trials, seed=seed)
         ref = no_retx_outage(P, rate)
-        return [_z_row("no_retx_outage", ref, rep.outage_rate,
-                       _binomial_se(ref, trials), **coords)]
-    except _ROW_ERRORS as exc:
-        return [_row(check="no_retx_outage", error=str(exc), **coords)]
-
-
-def _apply(job):
-    fn, args = job
-    return fn(*args)
-
-
-def run_mc_verify(config: dict, master_seed: int, workers: int = 1):
-    trials = int(config["trials"])
-    closed = (float(config["rate"]), float(config["p1"]), trials, master_seed)
-    opened = (float(config["open_loop_sigma"]), trials, master_seed)
-    powers_db = _as_list(config["open_loop_power_db"])
-    ol_rates = _as_list(config["open_loop_rate"])
-    protocols = ("rtd", "inr")
-    jobs = [(_closed_loop_rows, (proto, eps, sigma) + closed)
-            for proto in protocols
-            for eps in _as_list(config["eps"])
-            for sigma in _as_list(config["sigma"])]
-    jobs += [(_open_loop_rows, (proto, ol_rate, p_db) + opened)
-             for proto in protocols for ol_rate in ol_rates
-             for p_db in powers_db]
-    jobs += [(_no_retx_rows, (p_db, ol_rate, trials, master_seed))
-             for p_db in powers_db for ol_rate in ol_rates]
-    return _map_rows(_apply, jobs, workers)
+        rows.append(_z_row("no_retx_outage", ref, rep.outage_rate,
+                           _binomial_se(ref, trials), **coords))
+    return rows
 
 
 # ---------------------------------------------------------------------------
-# eval: spot evaluation registry
+# eval: spot evaluation of the package's public functions
 # ---------------------------------------------------------------------------
 
-def _op_registry():
-    return {
-        "theta": (theta, ["rate"]),
-        "theta1": (theta1, ["rate"]),
-        "marcum-q1": (marcum_q1, ["s", "rho"]),
-        "marcum-q1-weibull": (marcum_q1_weibull, ["s", "rho"]),
-        "inv-marcum-q1": (inv_marcum_q1, ["s", "p"]),
-        "inv-marcum-q1-asymptotic": (inv_marcum_q1_asymptotic, ["s", "eps"]),
-        "lambert-w": (lambda x, branch=0: lambert_w(x, int(branch)),
-                      ["x", "branch"]),
-        "sigma-from-geometry": (sigma_from_geometry,
-                                ["v", "delta", "f_c", "d_a"]),
-        "cond-cdf-g2": (cond_cdf_g2, ["x", "g1", "sigma"]),
-        "inv-cond-cdf-g2": (
-            lambda eps, g1, sigma, method="exact":
-                inv_cond_cdf_g2(eps, g1, sigma, QuantileMethod(method)),
-            ["eps", "g1", "sigma", "method"]),
-        "p2-rtd": (
-            lambda g1, rate, eps, p1, sigma, method="exact":
-                p2_rtd(g1, HarqConfig(Protocol.RTD, rate, eps, p1), sigma,
-                       QuantileMethod(method)),
-            ["g1", "rate", "eps", "p1", "sigma", "method"]),
-        "p2-inr": (
-            lambda g1, rate, eps, p1, sigma, method="exact":
-                p2_inr(g1, HarqConfig(Protocol.INR, rate, eps, p1), sigma,
-                       QuantileMethod(method)),
-            ["g1", "rate", "eps", "p1", "sigma", "method"]),
-        "avg-power-given-p1": (
-            lambda p1, protocol, rate, eps, sigma, method="exact":
-                avg_power_given_p1(p1, HarqConfig(Protocol(protocol), rate, eps),
-                                   sigma, QuantileMethod(method)),
-            ["p1", "protocol", "rate", "eps", "sigma", "method"]),
-        "closed-form-avg-power": (
-            lambda p1, protocol, rate, eps, sigma:
-                closed_form_avg_power(p1, HarqConfig(Protocol(protocol), rate, eps),
-                                      sigma),
-            ["p1", "protocol", "rate", "eps", "sigma"]),
-        "optimal-p1-closed-form": (
-            lambda protocol, rate, eps, sigma:
-                optimal_p1_closed_form(HarqConfig(Protocol(protocol), rate, eps),
-                                       sigma).p1,
-            ["protocol", "rate", "eps", "sigma"]),
-        "optimal-p1-numeric": (
-            lambda protocol, rate, eps, sigma, method="exact":
-                optimal_p1_numeric(HarqConfig(Protocol(protocol), rate, eps),
-                                   sigma, QuantileMethod(method)).p1,
-            ["protocol", "rate", "eps", "sigma", "method"]),
-        "zeta-rtd-closed": (zeta_rtd_closed, ["P", "rate", "sigma"]),
-        "zeta-inr-closed": (zeta_inr_closed, ["P", "rate", "sigma"]),
-        "open-loop-outage-exact": (
-            lambda P, rate, sigma, protocol="rtd":
-                open_loop_outage_exact(P, rate, sigma, Protocol(protocol)),
-            ["P", "rate", "sigma", "protocol"]),
-        "open-loop-avg-power": (open_loop_avg_power, ["P", "rate"]),
-        "open-loop-required-power": (
-            lambda target_eps, rate, sigma, protocol="rtd":
-                open_loop_required_power(target_eps, rate, sigma,
-                                         Protocol(protocol)),
-            ["target_eps", "rate", "sigma", "protocol"]),
-        "no-retx-required-power": (no_retx_required_power,
-                                   ["target_eps", "rate"]),
-        "no-retx-outage": (no_retx_outage, ["P", "rate"]),
-    }
+# each op calls the package function of its name with '_' for '-'
+_EVAL_OPS = (
+    "theta", "theta1", "marcum-q1", "marcum-q1-weibull", "inv-marcum-q1",
+    "inv-marcum-q1-asymptotic", "lambert-w", "sigma-from-geometry",
+    "cond-cdf-g2", "inv-cond-cdf-g2", "p2-rtd", "p2-inr",
+    "avg-power-given-p1", "closed-form-avg-power", "optimal-p1-closed-form",
+    "optimal-p1-numeric", "zeta-rtd-closed", "zeta-inr-closed",
+    "open-loop-outage-exact", "open-loop-avg-power",
+    "open-loop-required-power", "no-retx-required-power", "no-retx-outage",
+)
+# config fields an op sets itself: the protocol of a protocol's own rule,
+# and no p1 where p1 is what the op computes
+_EVAL_FIXED = {
+    "p2-rtd": {"protocol": Protocol.RTD},
+    "p2-inr": {"protocol": Protocol.INR},
+    "optimal-p1-closed-form": {"p1": None},
+    "optimal-p1-numeric": {"p1": None},
+}
+# the only defaulted function parameters an op takes; the others (the
+# Jensen fallback, a sigma mapping, a prebuilt table, search settings)
+# stay at their defaults
+_EVAL_OPTIONAL = ("branch", "method", "protocol")
+# how a value is read, by annotation; any other parameter is a float
+_EVAL_TYPES = {int: int, Protocol: Protocol, QuantileMethod: QuantileMethod}
+
+
+def _usage(message: str) -> SystemExit:
+    """Exit 1 after one `error:` line on stderr."""
+    print(f"error: {message}", file=sys.stderr)
+    return SystemExit(1)
 
 
 def run_eval(op_name: str, assignments: list[str]):
-    registry = _op_registry()
-    if op_name not in registry:
-        names = ", ".join(sorted(registry))
-        raise SystemExit(f"unknown operation {op_name!r}; available: {names}")
-    fn, params = registry[op_name]
-    kwargs = {}
+    """One row with the op's value as its estimate, or with the message of
+    the PaharqError it raised.  A bad op or assignment exits 1.
+
+    The op's parameters are its function's, in signature order, with a
+    `cfg: HarqConfig` standing for the config's fields, all required.
+    """
+    if op_name not in _EVAL_OPS:
+        raise _usage(f"unknown operation {op_name!r}; available: "
+                     f"{', '.join(sorted(_EVAL_OPS))}")
+    fn = getattr(sys.modules[__package__], op_name.replace("-", "_"))
+    fixed = _EVAL_FIXED.get(op_name, {})
+    own = inspect.signature(fn).parameters
+    takes = {}
+    for param in own.values():
+        if param.annotation is HarqConfig:
+            takes.update((p.name, p) for p in
+                         inspect.signature(HarqConfig).parameters.values()
+                         if p.name not in takes and p.name not in fixed)
+        elif param.default is param.empty or param.name in _EVAL_OPTIONAL:
+            takes[param.name] = param
+    values = {}
     for item in assignments:
-        if "=" not in item:
-            raise SystemExit(f"expected key=value, got {item!r}")
         key, _, raw = item.partition("=")
-        if key not in params:
-            raise SystemExit(f"unknown parameter {key!r} for {op_name} "
-                             f"(takes {params})")
+        if key not in takes:
+            raise _usage(f"unknown parameter {key!r} for {op_name} "
+                         f"(takes {list(takes)})")
+        kind = _EVAL_TYPES.get(takes[key].annotation, float)
         try:
-            kwargs[key] = float(raw)
+            values[key] = kind(raw)
         except ValueError:
-            kwargs[key] = raw
-    value = fn(**kwargs)
-    return [_row(figure="eval", check=op_name, estimate=float(value))]
+            raise _usage(f"{key}={raw!r} is not a valid {kind.__name__}")
+    missing = [name for name, p in takes.items() if name not in values
+               and (p.default is p.empty or name not in own)]
+    if missing:
+        raise _usage(f"{op_name} needs {', '.join(missing)}")
+    kwargs = {k: v for k, v in values.items() if k in own}
+    for name, param in own.items():
+        if param.annotation is HarqConfig:
+            kwargs[name] = HarqConfig(**fixed, **{k: v for k, v in values.items()
+                                                 if k not in own})
+    row = _row(figure="eval", check=op_name)
+    try:
+        value = fn(**kwargs)
+        # an optimum reports its round-one power
+        row["estimate"] = float(getattr(value, "p1", value))
+    except PaharqError as exc:
+        row["error"] = str(exc)
+    return [row]
 
 
 # ---------------------------------------------------------------------------
@@ -581,20 +538,24 @@ def _as_list(value):
     return list(value) if isinstance(value, (list, tuple)) else [value]
 
 
-def _map_rows(fn, points, workers):
+def _apply(job):
+    fn, config, master_seed, coords = job
+    return fn(config, master_seed, *coords)
+
+
+def _run(grid, config: dict, master_seed, workers: int = 1):
+    """The rows of every point of a grid, in grid order, whatever the
+    number of worker processes."""
+    jobs = [(fn, config, master_seed, coords) for fn, axes in grid
+            for coords in itertools.product(*(
+                axis if isinstance(axis, tuple) else _as_list(config[axis])
+                for axis in axes))]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            nested = list(pool.map(fn, points))
+            nested = list(pool.map(_apply, jobs))
     else:
-        nested = [fn(p) for p in points]
+        nested = [_apply(job) for job in jobs]
     return [row for rows in nested for row in rows]
-
-
-def _add_common(parser):
-    parser.add_argument("--config", help="flat JSON config file")
-    parser.add_argument("--out", help="output CSV path (default: stdout)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for sweep points and checks")
 
 
 _METHOD_FLAG = {
@@ -603,17 +564,25 @@ _METHOD_FLAG = {
     "closed": ["closed-form"],
 }
 
-# the subcommands that draw Monte Carlo samples
-MC_COMMANDS = ("fig4", "mc-verify")
-
-# every runner takes (config, master seed, workers)
-_RUNNERS = {
-    "fig3": lambda config, seed, workers: run_fig3(config, workers),
-    "fig4": run_fig4,
-    "fig5": lambda config, seed, workers: run_fig5(config, workers),
-    "headline": lambda config, seed, workers: run_headline(config),
-    "mc-verify": run_mc_verify,
+# every subcommand but eval: the flags it adds to --config, --out and
+# --workers ("seed" for --seed and --trials, "method" for --method), and
+# its grid: point functions, each called as fn(config, master seed,
+# *coords) over the product of its axes (config lists, or constants),
+# outermost first
+_COMMANDS = {
+    "fig3": ("method", [(partial(_sweep_point, _FIG3), _FIG3.grid)]),
+    "fig4": ("seed", [(_fig4_point, ("rate", "eps", "protocols"))]),
+    "fig5": ("method", [(partial(_sweep_point, _FIG5), _FIG5.grid)]),
+    "headline": ("", [(partial(_sweep_point, _HEADLINE), ())]),
+    "mc-verify": ("seed", [
+        (_closed_loop_rows, (_PROTOCOLS, "eps", "sigma")),
+        (_open_loop_rows, (_PROTOCOLS, "open_loop_rate", "open_loop_power_db")),
+        (_no_retx_rows, ("open_loop_power_db", "open_loop_rate"))]),
 }
+
+# the subcommands that draw Monte Carlo samples
+MC_COMMANDS = tuple(name for name, (flags, _) in _COMMANDS.items()
+                    if flags == "seed")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -629,15 +598,18 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="paharq",
         description="HARQ-based predictor-antenna power allocation experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _RUNNERS:
+    for name, (flags, _) in _COMMANDS.items():
         command = sub.add_parser(name)
-        _add_common(command)
-        if name in MC_COMMANDS:
+        command.add_argument("--config", help="flat JSON config file")
+        command.add_argument("--out", help="output CSV path (default: stdout)")
+        command.add_argument("--workers", type=int, default=1,
+                             help="worker processes for sweep points and checks")
+        if flags == "seed":
             command.add_argument("--seed", type=int,
                                  help="master seed for Monte Carlo columns")
             command.add_argument("--trials", type=int,
                                  help="Monte Carlo trials per point")
-        if name in ("fig3", "fig5"):
+        if flags == "method":
             command.add_argument("--method", choices=list(_METHOD_FLAG),
                                  help="run only this optimization route")
     eval_parser = sub.add_parser("eval")
@@ -654,21 +626,22 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "eval":
-            _write_csv(run_eval(args.op, args.assignments), args.out)
-            return 0
-        overrides = {"trials": getattr(args, "trials", None)}
-        if getattr(args, "method", None):
-            overrides["methods"] = _METHOD_FLAG[args.method]
-        config = _load_config(args.command, args.config, overrides)
-        seed = None
-        if args.command in MC_COMMANDS:
-            seed = args.seed if args.seed is not None else config.get("seed")
-            if seed is None:
-                parser.error(f"--seed is required for {args.command}")
-            seed = int(seed)
-            if seed < 0:
-                parser.error(f"the master seed must be >= 0, got {seed}")
-        rows = _RUNNERS[args.command](config, seed, args.workers)
+            rows = run_eval(args.op, args.assignments)
+        else:
+            flags, grid = _COMMANDS[args.command]
+            overrides = {"trials": getattr(args, "trials", None)}
+            if getattr(args, "method", None):
+                overrides["methods"] = _METHOD_FLAG[args.method]
+            config = _load_config(args.command, args.config, overrides)
+            seed = None
+            if flags == "seed":
+                seed = args.seed if args.seed is not None else config.get("seed")
+                if seed is None:
+                    parser.error(f"--seed is required for {args.command}")
+                seed = int(seed)
+                if seed < 0:
+                    parser.error(f"the master seed must be >= 0, got {seed}")
+            rows = _run(grid, config, seed, args.workers)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

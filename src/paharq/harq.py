@@ -20,6 +20,11 @@ import numpy as np
 from .channel import GainQuantile, QuantileMethod, inv_cond_cdf_g2
 
 
+class PaharqError(Exception):
+    """Base of the package's own errors: a computation that has no value
+    at these inputs, which a sweep records in its row."""
+
+
 class Protocol(enum.Enum):
     RTD = "rtd"
     INR = "inr"

@@ -17,14 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import GainQuantile, QuantileMethod, sample_g1, sample_g2_given_g1
-from .harq import HarqConfig, P2Rule, Protocol, theta
+from .harq import HarqConfig, P2Rule, PaharqError, Protocol, theta
 
 BATCH_SIZE = 1 << 16
 # run_open_loop's conditional estimate needs this many round-two trials
 _MIN_CONDITIONED = 100
 
 
-class DegenerateConditioningError(RuntimeError):
+class DegenerateConditioningError(PaharqError, RuntimeError):
     """Too few trials satisfied the conditioning event for a usable estimate."""
 
 

@@ -237,6 +237,13 @@ class TestClosedFormOptimum:
                 assert inr.p1 <= rtd.p1
                 assert inr.avg_power <= rtd.avg_power
 
+    @pytest.mark.parametrize("sigma", [0.0, 1.5])
+    def test_rejects_sigma_outside_unit_interval(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be in"):
+            optimal_p1_closed_form(cfg(), sigma)
+        with pytest.raises(ValueError, match="sigma must be in"):
+            closed_form_avg_power(1.0, cfg(), sigma)
+
     def test_finite_difference_stationarity(self):
         c = cfg(rate=2.0, eps=1e-3)
         sol = optimal_p1_closed_form(c, 0.8)

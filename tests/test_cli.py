@@ -337,3 +337,143 @@ def test_row_seeds_distinct_over_default_coordinates():
 def test_row_seed_pinned_value():
     # SeedSequence(1, spawn_key=bytes of "fig4|0.01|2|rtd"), masked to 63 bits
     assert cli._row_seed(1, "fig4", 0.01, 2.0, "rtd") == 3681226960660758955
+
+
+# op, assignments, direct library call; defaults stay implicit where cheap
+# (method=exact, protocol=rtd, branch=0)
+_RTD_CFG = paharq.HarqConfig(paharq.Protocol.RTD, 2.0, 1e-2, 3.0)
+_INR_CFG = paharq.HarqConfig(paharq.Protocol.INR, 2.0, 1e-2, 3.0)
+_EVAL_CASES = [
+    ("theta", ["rate=2"], lambda: paharq.theta(2.0)),
+    ("theta1", ["rate=2"], lambda: paharq.theta1(2.0)),
+    ("marcum-q1", ["s=1", "rho=2"], lambda: paharq.marcum_q1(1.0, 2.0)),
+    ("marcum-q1-weibull", ["s=1", "rho=2"],
+     lambda: paharq.marcum_q1_weibull(1.0, 2.0)),
+    ("inv-marcum-q1", ["s=1", "p=0.3"], lambda: paharq.inv_marcum_q1(1.0, 0.3)),
+    ("inv-marcum-q1-asymptotic", ["s=0.5", "eps=1e-2"],
+     lambda: paharq.inv_marcum_q1_asymptotic(0.5, 1e-2)),
+    ("lambert-w", ["x=-0.2"], lambda: paharq.lambert_w(-0.2)),
+    ("sigma-from-geometry", ["v=30", "delta=5e-3", "f_c=2.68e9", "d_a=0.1"],
+     lambda: paharq.sigma_from_geometry(30.0, 5e-3, 2.68e9, 0.1)),
+    ("cond-cdf-g2", ["x=0.1", "g1=1", "sigma=0.8"],
+     lambda: paharq.cond_cdf_g2(0.1, 1.0, 0.8)),
+    ("inv-cond-cdf-g2", ["eps=1e-2", "g1=1", "sigma=0.8"],
+     lambda: paharq.inv_cond_cdf_g2(1e-2, 1.0, 0.8)),
+    ("p2-rtd", ["g1=0.5", "rate=2", "eps=1e-2", "p1=3", "sigma=0.8"],
+     lambda: paharq.p2_rtd(0.5, _RTD_CFG, 0.8)),
+    ("p2-inr", ["g1=0.5", "rate=2", "eps=1e-2", "p1=3", "sigma=0.8",
+                "method=asymptotic"],
+     lambda: paharq.p2_inr(0.5, _INR_CFG, 0.8,
+                           paharq.QuantileMethod.ASYMPTOTIC)),
+    ("avg-power-given-p1", ["p1=30", "protocol=inr", "rate=2", "eps=1e-2",
+                            "sigma=0.8", "method=weibull"],
+     lambda: paharq.avg_power_given_p1(
+         30.0, paharq.HarqConfig(paharq.Protocol.INR, 2.0, 1e-2), 0.8,
+         paharq.QuantileMethod.WEIBULL)),
+    ("closed-form-avg-power", ["p1=30", "protocol=rtd", "rate=2", "eps=1e-2",
+                               "sigma=0.8"],
+     lambda: paharq.closed_form_avg_power(
+         30.0, paharq.HarqConfig(paharq.Protocol.RTD, 2.0, 1e-2), 0.8)),
+    ("optimal-p1-closed-form", ["protocol=inr", "rate=2", "eps=1e-3",
+                                "sigma=0.8"],
+     lambda: paharq.optimal_p1_closed_form(
+         paharq.HarqConfig(paharq.Protocol.INR, 2.0, 1e-3), 0.8).p1),
+    ("optimal-p1-numeric", ["protocol=rtd", "rate=2", "eps=1e-3", "sigma=0.8",
+                            "method=asymptotic"],
+     lambda: paharq.optimal_p1_numeric(
+         paharq.HarqConfig(paharq.Protocol.RTD, 2.0, 1e-3), 0.8,
+         paharq.QuantileMethod.ASYMPTOTIC).p1),
+    ("zeta-rtd-closed", ["P=10", "rate=1", "sigma=0.8"],
+     lambda: paharq.zeta_rtd_closed(10.0, 1.0, 0.8)),
+    ("zeta-inr-closed", ["P=10", "rate=1", "sigma=0.8"],
+     lambda: paharq.zeta_inr_closed(10.0, 1.0, 0.8)),
+    ("open-loop-outage-exact", ["P=10", "rate=1", "sigma=0.8"],
+     lambda: paharq.open_loop_outage_exact(10.0, 1.0, 0.8)),
+    ("open-loop-avg-power", ["P=10", "rate=1"],
+     lambda: paharq.open_loop_avg_power(10.0, 1.0)),
+    ("open-loop-required-power", ["target_eps=1e-2", "rate=1", "sigma=0.8"],
+     lambda: paharq.open_loop_required_power(1e-2, 1.0, 0.8)),
+    ("no-retx-required-power", ["target_eps=1e-2", "rate=1"],
+     lambda: paharq.no_retx_required_power(1e-2, 1.0)),
+    ("no-retx-outage", ["P=10", "rate=1"],
+     lambda: paharq.no_retx_outage(10.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize("op,assignments,direct", _EVAL_CASES,
+                         ids=[case[0] for case in _EVAL_CASES])
+def test_eval_matches_direct_call(op, assignments, direct, capsys):
+    assert main(["eval", op, *assignments]) == 0
+    row = dict(zip(COLUMNS, capsys.readouterr().out.splitlines()[1].split(",")))
+    assert row["check"] == op and row["error"] == ""
+    assert row["estimate"] == cli._fmt(float(direct()))
+
+
+def test_eval_lists_every_op(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "definitely-not-an-op"])
+    assert exc.value.code == 1
+    listed = capsys.readouterr().err.split("available: ")[1].strip()
+    assert listed.split(", ") == sorted(case[0] for case in _EVAL_CASES)
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "marcum-q1", "s=1"],                   # missing parameter
+    ["eval", "p2-rtd", "g1=0.5", "rate=2", "eps=1e-2", "sigma=0.8"],  # p1
+    ["eval", "theta", "rate=abc"],                  # not a number
+    ["eval", "theta", "rate=1", "rho=1"],           # unknown parameter
+    ["eval", "theta", "rate"],                      # no value
+    ["eval", "lambert-w", "x=-0.2", "branch=0.5"],  # not an integer
+    ["eval", "open-loop-outage-exact", "P=10", "rate=1", "sigma=0.8",
+     "protocol=harq"],                              # not a protocol
+    ["eval", "optimal-p1-numeric", "protocol=rtd", "rate=2", "eps=1e-3",
+     "sigma=0.8", "p1=1"],                          # p1 is the output
+])
+def test_eval_usage_errors_exit_one(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["open-loop-required-power", "target_eps=0.9999999", "rate=0.1",
+      "sigma=0.8"], "unreachable"),               # InfeasibleError
+    (["optimal-p1-closed-form", "protocol=rtd", "rate=2", "eps=0.5",
+      "sigma=0.5"], "closed form undefined"),     # ClosedFormDomainError
+])
+def test_eval_library_error_becomes_row(argv, message, capsys):
+    assert main(["eval", *argv]) == 2
+    row = dict(zip(COLUMNS, capsys.readouterr().out.splitlines()[1].split(",")))
+    assert row["check"] == argv[0] and row["estimate"] == ""
+    assert message in row["error"]
+
+
+@pytest.mark.parametrize("method", ["closed", "approx", "exact"])
+def test_sigma_outside_unit_interval_exits_one(tmp_path, capsys, method):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "eps": [1e-2], "rate": [0.5], "sigma": 1.5, "protocols": ["rtd"],
+    }))
+    out = tmp_path / "fig3.csv"
+    assert main(["fig3", "--config", str(config), "--method", method,
+                 "--out", str(out)]) == 1
+    assert "sigma must be in (0, 1], got 1.5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(cli.DEFAULTS))
+def test_config_files_are_the_defaults(command):
+    path = (Path(__file__).resolve().parents[1] / "configs"
+            / f"{command.replace('-', '_')}.json")
+    assert json.loads(path.read_text()) == cli.DEFAULTS[command]
+
+
+def test_library_errors_share_one_base():
+    for cls, base in ((paharq.BracketError, RuntimeError),
+                      (paharq.QuadratureError, RuntimeError),
+                      (paharq.ClosedFormDomainError, ValueError),
+                      (paharq.InfeasibleError, RuntimeError),
+                      (paharq.DegenerateConditioningError, RuntimeError)):
+        assert issubclass(cls, paharq.PaharqError) and issubclass(cls, base)
