@@ -223,9 +223,13 @@ def sample_g2_given_g1(rng: np.random.Generator, g1, sigma: float):
     g1 = np.asarray(g1, dtype=float)
     z = rng.standard_normal((2,) + g1.shape)
     z *= sigma * math.sqrt(0.5)
-    z[0] += math.sqrt(1.0 - sigma * sigma) * np.sqrt(g1)
+    x, y = z
+    mean = np.sqrt(g1)
+    mean *= math.sqrt(1.0 - sigma * sigma)
+    x += mean
     np.square(z, out=z)
-    return z[0] + z[1]
+    x += y
+    return x
 
 
 def _check_sigma(sigma: float) -> None:

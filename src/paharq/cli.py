@@ -39,7 +39,7 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from functools import partial
+from functools import cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -169,9 +169,9 @@ def _error_row(rows, coords, **extra):
 
 
 def _row_seed(master_seed: int, *coords) -> int:
-    """63-bit Philox key of one row: the master seed's SeedSequence spawned
-    on the bytes of the row's coordinate string, so no two master seeds
-    trade the streams of two rows."""
+    """63-bit Monte Carlo seed of one row: the master seed's SeedSequence
+    spawned on the bytes of the row's coordinate string, so no two master
+    seeds trade the streams of two rows."""
     key = "|".join(_fmt(c) for c in coords).encode()
     seq = np.random.SeedSequence(int(master_seed), spawn_key=tuple(key))
     return int(seq.generate_state(1, np.uint64)[0]) & (2**63 - 1)
@@ -196,9 +196,27 @@ def _load_config(name: str, path: str | None, overrides: dict) -> dict:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ValueError(f"config {path} must be a flat JSON object")
-        cfg.update(loaded)
+        cfg.update((key, _checked(key, value, cfg[key]) if key in cfg
+                    else value) for key, value in loaded.items())
     cfg.update({k: v for k, v in overrides.items() if v is not None})
     return cfg
+
+
+def _checked(key: str, value, default):
+    """A loaded config value, checked against the JSON kind of its default:
+    a number (not a boolean), a string, or an array of the kind of the
+    default's elements, where one value stands for a one-element array."""
+    many = isinstance(default, list)
+    items = value if many and isinstance(value, list) else [value]
+    text = isinstance(default[0] if many else default, str)
+    for item in items:
+        if isinstance(item, bool) or not isinstance(
+                item, str if text else (int, float)):
+            kind = "a string" if text else "a number"
+            raise ValueError(f"config key {key!r} must be {kind}"
+                             f"{' or an array of them' if many else ''}, "
+                             f"got {json.dumps(value)}")
+    return items if many else value
 
 
 def _binomial_se(p: float, n: int) -> float:
@@ -534,10 +552,6 @@ def run_eval(op_name: str, assignments: list[str]):
 # plumbing
 # ---------------------------------------------------------------------------
 
-def _as_list(value):
-    return list(value) if isinstance(value, (list, tuple)) else [value]
-
-
 def _apply(job):
     fn, config, master_seed, coords = job
     return fn(config, master_seed, *coords)
@@ -548,7 +562,7 @@ def _run(grid, config: dict, master_seed, workers: int = 1):
     number of worker processes."""
     jobs = [(fn, config, master_seed, coords) for fn, axes in grid
             for coords in itertools.product(*(
-                axis if isinstance(axis, tuple) else _as_list(config[axis])
+                axis if isinstance(axis, tuple) else config[axis]
                 for axis in axes))]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -593,7 +607,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on first use and kept: a parse leaves the parser unchanged
     parser = _Parser(
         prog="paharq",
         description="HARQ-based predictor-antenna power allocation experiments")
@@ -638,7 +654,9 @@ def main(argv=None) -> int:
                 seed = args.seed if args.seed is not None else config.get("seed")
                 if seed is None:
                     parser.error(f"--seed is required for {args.command}")
-                seed = int(seed)
+                if isinstance(seed, bool) or not isinstance(seed, int):
+                    parser.error(f"the master seed must be an integer, "
+                                 f"got {json.dumps(seed)}")
                 if seed < 0:
                     parser.error(f"the master seed must be >= 0, got {seed}")
             rows = _run(grid, config, seed, args.workers)

@@ -477,3 +477,58 @@ def test_library_errors_share_one_base():
                       (paharq.InfeasibleError, RuntimeError),
                       (paharq.DegenerateConditioningError, RuntimeError)):
         assert issubclass(cls, paharq.PaharqError) and issubclass(cls, base)
+
+
+@pytest.mark.parametrize("command", ["fig3", "fig4"])
+@pytest.mark.parametrize("config,message", [
+    ({"eps": ["a"], "methods": ["closed-form"]},
+     "config key 'eps' must be a number or an array of them, got [\"a\"]"),
+    ({"sigma": None}, "config key 'sigma' must be a number, got null"),
+])
+def test_config_value_of_wrong_kind_exits_one(tmp_path, capsys, command,
+                                              config, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "o.csv")]
+    assert main(argv + (["--seed", "1"] if command == "fig4" else [])) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_config_seed_must_be_an_integer(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": [1]}))
+    with pytest.raises(SystemExit) as exc:
+        main(["fig4", "--config", str(path)])
+    assert exc.value.code == 1
+    assert "the master seed must be an integer, got [1]" in \
+        capsys.readouterr().err
+
+
+def test_one_value_stands_for_a_one_element_grid(tmp_path):
+    outputs = []
+    for eps, methods in ((1e-2, "closed-form"), ([1e-2], ["closed-form"])):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"eps": eps, "rate": 0.5,
+                                    "protocols": "rtd", "methods": methods}))
+        out = tmp_path / "fig3.csv"
+        assert main(["fig3", "--config", str(path), "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 3
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "eps": [1e-2], "rate": [2.0], "protocols": ["rtd"], "trials": 5000,
+    }))
+    fig4 = ["fig4", "--config", str(config), "--seed", "3", "--out"]
+    assert main(fig4 + [str(tmp_path / "first.csv")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["fig4", "--config", str(config)])     # no seed
+    assert exc.value.code == 1
+    assert main(["eval", "theta", "rate=2"]) == 0
+    assert main(fig4 + [str(tmp_path / "again.csv")]) == 0
+    assert ((tmp_path / "first.csv").read_bytes()
+            == (tmp_path / "again.csv").read_bytes())
+    assert cli._build_parser() is cli._build_parser()

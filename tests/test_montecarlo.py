@@ -11,11 +11,13 @@ from paharq.benchmarks import (
     zeta_inr_closed,
     zeta_rtd_closed,
 )
-from paharq.channel import QuantileMethod
-from paharq.harq import HarqConfig, Protocol, theta
+from paharq.channel import QuantileMethod, sample_g2_given_g1
+from paharq.harq import HarqConfig, P2Rule, Protocol, theta
 from paharq.montecarlo import (
     BATCH_SIZE,
     DegenerateConditioningError,
+    _batch_rng,
+    _batches,
     run_closed_loop,
     run_no_retx,
     run_open_loop,
@@ -23,6 +25,110 @@ from paharq.montecarlo import (
 )
 
 CFG = HarqConfig(Protocol.RTD, rate=1.0, eps=1e-3, p1=1.0)
+
+
+def _outage(g1, g2, p1, p2, protocol, rate):
+    if protocol is Protocol.RTD:
+        return g1 * p1 + g2 * p2 < theta(rate)
+    return np.log1p(g1 * p1) + np.log1p(g2 * p2) < rate
+
+
+def _plain_open_loop(kind, P, rate, sigma, protocol, n_trials, seed):
+    """(conditioned, outage) counts of the open-loop and single-shot
+    simulators as plain array expressions on the same batch streams."""
+    th = theta(rate)
+    n_cond = n_out = 0
+    for j, m in _batches(n_trials):
+        rng = _batch_rng(seed, j)
+        if kind == "conditional":
+            u = rng.uniform(size=m)
+            g1 = -np.log1p(-u * -math.expm1(-th / P))
+        else:
+            g1 = rng.exponential(size=m)
+            if kind == "no-retx":
+                n_out += int((g1 * P < th).sum())
+                continue
+            g1 = g1[g1 * P < th]
+        g2 = sample_g2_given_g1(rng, g1, sigma)
+        n_cond += g1.size
+        n_out += int(_outage(g1, g2, P, P, protocol, rate).sum())
+    return n_cond, n_out
+
+
+def _plain_closed_loop(cfg, sigma, method, n_trials, seed, quantile):
+    """Report fields of run_closed_loop as plain array expressions."""
+    rule = P2Rule(cfg, sigma, method, jensen_fallback=False,
+                  quantile=quantile)
+    n_round2 = n_out = fallback = 0
+    spent = []
+    for j, m in _batches(n_trials):
+        rng = _batch_rng(seed, j)
+        g1 = rng.exponential(size=m)
+        failed = g1 * cfg.p1 < cfg.theta
+        g1f = np.sort(g1[failed])
+        p2 = rule(g1f)
+        fallback += int(rule.jensen_fallback_mask(g1f).sum())
+        g2 = sample_g2_given_g1(rng, g1f, sigma)
+        n_round2 += int(failed.sum())
+        n_out += int(_outage(g1f, g2, cfg.p1, p2, cfg.protocol,
+                             cfg.rate).sum())
+        spent += [np.full(m - g1f.size, cfg.p1), cfg.p1 + p2]
+    return n_round2, n_out, fallback, np.concatenate(spent).mean()
+
+
+class TestBatchKernels:
+    # the in-place kernels count exactly what the plain expressions count
+    # on the same draws; only the power totals are summed in another order
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    @pytest.mark.parametrize("kind", ["rejection", "conditional", "no-retx"])
+    def test_open_loop_counts(self, kind, protocol):
+        n = BATCH_SIZE + 1000
+        args = (10.0, 2.0, 0.8)
+        if kind == "rejection":
+            rep = run_open_loop(*args, protocol, n_trials=n, seed=61)
+        elif kind == "conditional":
+            rep = run_open_loop_conditional(*args, protocol, n_trials=n,
+                                            seed=61)
+        else:
+            rep = run_no_retx(10.0, 2.0, n_trials=n, seed=61)
+        n_cond, n_out = _plain_open_loop(kind, *args, protocol, n, 61)
+        assert rep.n_outage == n_out
+        if kind == "rejection":
+            assert rep.n_round2 == n_cond
+            assert rep.avg_power == pytest.approx(10.0 * (1 + n_cond / n),
+                                                  rel=1e-15)
+
+    @pytest.mark.parametrize("protocol,method", [
+        (Protocol.RTD, QuantileMethod.EXACT),
+        (Protocol.INR, QuantileMethod.EXACT),
+        (Protocol.INR, QuantileMethod.ASYMPTOTIC),
+    ])
+    def test_closed_loop_report(self, qcache, protocol, method):
+        cfg = HarqConfig(protocol, 2.0, 1e-2, 2.0)
+        q = qcache.get(1e-2, 0.8, method)
+        n = BATCH_SIZE + 1000
+        rep = run_closed_loop(cfg, 0.8, method, n_trials=n, seed=62,
+                              jensen_fallback=False, quantile=q)
+        n_round2, n_out, fallback, mean = _plain_closed_loop(
+            cfg, 0.8, method, n, 62, q)
+        assert (rep.n_round2, rep.n_outage) == (n_round2, n_out)
+        assert rep.jensen_fallback_count == fallback
+        assert (fallback > 0) == (method is QuantileMethod.ASYMPTOTIC)
+        assert rep.avg_power == pytest.approx(mean, rel=1e-12)
+
+
+class TestBatchStreams:
+    def test_batches_and_seeds_draw_different_streams(self):
+        draws = [_batch_rng(seed, j).random(4).tolist()
+                 for seed in (5, 6) for j in (0, 1)]
+        assert len({tuple(d) for d in draws}) == 4
+        assert _batch_rng(5, 1).random(4).tolist() == draws[1]
+
+    def test_short_batch_is_a_prefix_of_the_stream(self):
+        full = _batch_rng(9, 0).exponential(size=BATCH_SIZE)
+        np.testing.assert_array_equal(
+            _batch_rng(9, 0).exponential(size=1000), full[:1000])
 
 
 class TestDeterminism:
@@ -39,7 +145,7 @@ class TestDeterminism:
         assert a.avg_power != b.avg_power
 
     def test_trial_prefix_stability(self, qcache):
-        # counter-indexed substreams: early trials do not depend on n_trials,
+        # per-batch streams: early trials do not depend on n_trials,
         # so counts over a whole-batch prefix match a shorter run exactly
         q = qcache.get(1e-3, 0.8)
         small = run_closed_loop(CFG, 0.8, n_trials=BATCH_SIZE, seed=5, quantile=q)
@@ -139,6 +245,18 @@ class TestOpenLoop:
         se = math.sqrt(exact * (1 - exact) / rep.n_round2)
         assert abs(rep.cond_round2_outage - exact) < 3 * se
 
+    def test_trial_prefix_stability(self):
+        # a whole first batch counts the same in any longer run: trials
+        # added after it add at most one conditioned trial and one outage
+        one = run_open_loop(10.0, 2.0, 0.8, Protocol.INR,
+                            n_trials=BATCH_SIZE, seed=36)
+        assert 0 < one.n_outage < one.n_round2 < BATCH_SIZE
+        for extra in (1, 7, BATCH_SIZE):
+            longer = run_open_loop(10.0, 2.0, 0.8, Protocol.INR,
+                                   n_trials=BATCH_SIZE + extra, seed=36)
+            assert 0 <= longer.n_round2 - one.n_round2 <= extra
+            assert 0 <= longer.n_outage - one.n_outage <= extra
+
     def test_degenerate_conditioning_raises(self):
         # theta/P so small that almost no trial conditions
         with pytest.raises(DegenerateConditioningError):
@@ -166,9 +284,9 @@ class TestOpenLoopConditional:
         assert abs(rep.cond_round2_outage - exact) < 3 * se
 
     def test_trial_prefix_stability(self):
-        # batch j has its own counter-offset stream and slices its g1 draw
-        # from a full batch, so a whole first batch counts the same in any
-        # longer run: trials added after it add at most one outage each
+        # batch j has its own stream and draws its g1 first, so a whole
+        # first batch counts the same in any longer run: trials added after
+        # it add at most one outage each
         one = run_open_loop_conditional(10.0, 2.0, 0.8, Protocol.RTD,
                                         n_trials=BATCH_SIZE, seed=35)
         assert 0 < one.n_outage < BATCH_SIZE
@@ -207,6 +325,14 @@ class TestNoRetx:
         reps = [run_no_retx(P, 2.0, n_trials=200_000, seed=23).outage_rate
                 for P in (1.0, 5.0, 25.0)]
         assert reps[0] > reps[1] > reps[2]
+
+    def test_trial_prefix_stability(self):
+        one = run_no_retx(10.0, 2.0, n_trials=BATCH_SIZE, seed=37)
+        assert 0 < one.n_outage < BATCH_SIZE
+        for extra in (1, 7, BATCH_SIZE):
+            longer = run_no_retx(10.0, 2.0, n_trials=BATCH_SIZE + extra,
+                                 seed=37)
+            assert 0 <= longer.n_outage - one.n_outage <= extra
 
     def test_constant_power(self):
         rep = run_no_retx(7.0, 2.0, n_trials=10_000, seed=24)
