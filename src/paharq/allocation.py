@@ -64,6 +64,9 @@ _BATCH = 2
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # golden section's bracket width on log p1: 1e-3 dB
 _TOL_LOG_P1 = 1e-3 * (math.log(10.0) / 10.0)
+# the optimizer's scan: powers log-spaced from the floor to its upper bound
+_P1_FLOOR = 1e-3
+_GRID_POINTS = 200
 
 
 class ClosedFormDomainError(PaharqError, ValueError):
@@ -76,7 +79,7 @@ class ClosedFormDomainError(PaharqError, ValueError):
 
 
 class BracketError(PaharqError, RuntimeError):
-    """The average power was still decreasing at the largest bracket power."""
+    """The p1 scan found no minimum of the average power."""
 
 
 class QuadratureError(PaharqError, RuntimeError):
@@ -252,37 +255,33 @@ def golden_section_min(f, a: float, b: float, tol: float) -> float:
 
 def optimal_p1_numeric(cfg: HarqConfig, sigma: float,
                        method: QuantileMethod = QuantileMethod.EXACT,
-                       quantile: GainQuantile | None = None,
-                       p_lo: float = 1e-3, p_hi: float = 1e8,
-                       p_hi_max: float = 1e12,
-                       grid_points: int = 200) -> PowerSolution:
+                       quantile: GainQuantile | None = None) -> PowerSolution:
     """Minimize the quadrature objective over log p1.
 
-    A log-spaced grid scan locates the bracket (and audits unimodality:
-    extra local minima are counted in the diagnostics and the global grid
-    argmin wins); golden section then resolves p1 to 1e-3 dB.  The upper
-    bound expands tenfold, up to `p_hi_max`, while the objective is still
-    decreasing at the edge.
+    P2 >= 0, so avg(p1) >= p1: no minimizer lies above the average power
+    at the no-retransmission power theta/(-log(1-eps)).  A log scan from
+    _P1_FLOOR up to that bound brackets the minimum (the global grid argmin
+    wins; extra local minima are counted in the diagnostics), and golden
+    section resolves p1 to 1e-3 dB.  BracketError if the average power is
+    not finite on the scan or still falling at its floor.
     """
     if quantile is None:
         quantile = GainQuantile(cfg.eps, sigma, method)
     obj = lambda t: avg_power_given_p1(math.exp(t), cfg, sigma, method,
                                        quantile=quantile)
-    while True:
-        ts = np.log(np.geomspace(p_lo, p_hi, grid_points))
-        ys = avg_power_given_p1_vec(np.exp(ts), cfg, sigma, method,
-                                    quantile=quantile)
-        i = int(np.argmin(ys))
-        if i < grid_points - 1:
-            break
-        if p_hi >= p_hi_max:
-            raise BracketError(
-                f"average power still decreasing at p1={p_hi:.3g}")
-        p_hi *= 10.0
+    p_hi = obj(math.log(cfg.theta / -math.log1p(-cfg.eps)))
+    ts = np.log(np.geomspace(_P1_FLOOR, p_hi, _GRID_POINTS))
+    ys = avg_power_given_p1_vec(np.exp(ts), cfg, sigma, method,
+                                quantile=quantile)
+    if not np.isfinite(ys).all():
+        raise BracketError("average power not finite on the p1 scan")
+    i = int(np.argmin(ys))
+    if i == 0 or p_hi <= _P1_FLOOR:
+        raise BracketError(f"average power still falling at p1={_P1_FLOOR:g}")
     interior = (ys[1:-1] < ys[:-2]) & (ys[1:-1] < ys[2:])
     n_local_minima = int(interior.sum())
-    t_opt = golden_section_min(obj, ts[max(i - 1, 0)],
-                               ts[min(i + 1, grid_points - 1)], _TOL_LOG_P1)
+    t_opt = golden_section_min(obj, ts[i - 1],
+                               ts[min(i + 1, _GRID_POINTS - 1)], _TOL_LOG_P1)
     p1 = math.exp(t_opt)
     return PowerSolution(
         p1=p1,

@@ -326,7 +326,7 @@ _HEADLINE = _Sweep("headline", (), ("eps", "rate", "sigma"), no_retx="first",
 
 def _fig4_point(config, master_seed, rate, eps, protocol_name):
     sigma = float(config["sigma"])
-    trials = int(config.get("trials") or 0)
+    trials = int(config["trials"])
     protocol = Protocol(protocol_name)
     row = _row(figure="fig4", eps=eps, rate=rate, sigma=sigma,
                protocol=protocol.value, method="closed-form",
@@ -337,17 +337,16 @@ def _fig4_point(config, master_seed, rate, eps, protocol_name):
         avg = open_loop_avg_power(P, rate)
         row.update(round_power=P, avg_power=avg, avg_power_db=_db(avg),
                    outage_closed=eps)
-        if trials:
-            # sample the failed-round-one ensemble directly so small targets
-            # are resolvable at a fixed trial count
-            seed = _row_seed(master_seed, "fig4", eps, rate, protocol.value)
-            report = run_open_loop_conditional(P, rate, sigma, protocol,
-                                               n_trials=trials, seed=seed)
-            row.update(outage_mc=report.cond_round2_outage,
-                       outage_mc_se=report.cond_round2_se,
-                       n_denominator=report.n_round2, seed=seed,
-                       outage_exact=open_loop_outage_exact(P, rate, sigma,
-                                                           protocol))
+        # sample the failed-round-one ensemble directly so small targets
+        # are resolvable at a fixed trial count
+        seed = _row_seed(master_seed, "fig4", eps, rate, protocol.value)
+        report = run_open_loop_conditional(P, rate, sigma, protocol,
+                                           n_trials=trials, seed=seed)
+        row.update(outage_mc=report.cond_round2_outage,
+                   outage_mc_se=report.cond_round2_se,
+                   n_denominator=report.n_round2, seed=seed,
+                   outage_exact=open_loop_outage_exact(P, rate, sigma,
+                                                       protocol))
     except _ROW_ERRORS as exc:
         row["error"] = str(exc)
     no_retx = no_retx_required_power(eps, rate)
@@ -484,8 +483,8 @@ _EVAL_FIXED = {
     "optimal-p1-numeric": {"p1": None},
 }
 # the only defaulted function parameters an op takes; the others (the
-# Jensen fallback, a sigma mapping, a prebuilt table, search settings)
-# stay at their defaults
+# Jensen fallback, a sigma mapping, a prebuilt table) stay at their
+# defaults
 _EVAL_OPTIONAL = ("branch", "method", "protocol")
 # how a value is read, by annotation; any other parameter is a float
 _EVAL_TYPES = {int: int, Protocol: Protocol, QuantileMethod: QuantileMethod}
@@ -659,6 +658,8 @@ def main(argv=None) -> int:
                                  f"got {json.dumps(seed)}")
                 if seed < 0:
                     parser.error(f"the master seed must be >= 0, got {seed}")
+                if config["trials"] < 1:
+                    parser.error(f"trials must be >= 1, got {config['trials']}")
             rows = _run(grid, config, seed, args.workers)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -322,8 +322,7 @@ class TestSpeedSweepPeak:
             sigma = sigma_from_geometry(v / 3.6, self.DELTA, self.FC,
                                         da_wavelengths * wavelength)
             cfg = HarqConfig(Protocol.RTD, self.RATE, self.EPS)
-            sol = optimal_p1_numeric(cfg, sigma, QuantileMethod.EXACT,
-                                     p_lo=1e-2, p_hi=1e7, grid_points=120)
+            sol = optimal_p1_numeric(cfg, sigma, QuantileMethod.EXACT)
             powers.append(sol.avg_power_db)
         return powers
 

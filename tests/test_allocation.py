@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from paharq import allocation
 from paharq.allocation import (
     BracketError,
     ClosedFormDomainError,
@@ -304,11 +305,29 @@ class TestNumericOptimum:
                                                    quantile=q)
             assert exact.avg_power <= other_under_exact * (1.0 + 1e-6)
 
-    def test_bracket_expansion_diagnostic(self):
-        c = cfg(rate=2.0, eps=1e-3)
-        with pytest.raises(BracketError):
-            optimal_p1_numeric(c, 0.8, QuantileMethod.ASYMPTOTIC,
-                               p_hi=1e-2, p_hi_max=1e-2, grid_points=30)
+    def test_scan_floor_is_no_optimum(self):
+        # |log(1-eps)|/sigma^2 >= 1: the asymptotic objective rises from
+        # p1 = 0 with slope 1 - sigma^2/|log(1-eps)|, so its grid argmin
+        # is the scan floor, which is no minimum
+        c = cfg(rate=2.0, eps=0.1)
+        with pytest.raises(ClosedFormDomainError):
+            optimal_p1_closed_form(c, 0.3)
+        with pytest.raises(BracketError, match="still falling at p1=0.001"):
+            optimal_p1_numeric(c, 0.3, QuantileMethod.ASYMPTOTIC)
+
+    def test_bound_below_scan_floor(self):
+        # the average power at theta/(-log(1-eps)) is 1.8e-4, so the
+        # minimizer (4.2e-5 by the closed form) lies under the scan floor
+        c = cfg(rate=1e-4, eps=0.5)
+        assert optimal_p1_closed_form(c, 1.0).p1 < 1e-4
+        with pytest.raises(BracketError, match="still falling at p1=0.001"):
+            optimal_p1_numeric(c, 1.0, QuantileMethod.ASYMPTOTIC)
+
+    def test_non_finite_average_power(self, monkeypatch):
+        nan = lambda p1s, *args, **kwargs: np.full(len(p1s), np.nan)
+        monkeypatch.setattr(allocation, "avg_power_given_p1_vec", nan)
+        with pytest.raises(BracketError, match="not finite"):
+            optimal_p1_numeric(cfg(), 0.8, QuantileMethod.ASYMPTOTIC)
 
     def test_method_label(self, qcache):
         c = cfg(rate=2.0, eps=1e-3)
@@ -316,3 +335,34 @@ class TestNumericOptimum:
                                  quantile=qcache.get(1e-3, 0.8))
         assert sol.method == "numeric-exact"
         assert sol.protocol is Protocol.RTD
+
+
+class TestProvableBracket:
+    """P2 >= 0 gives avg(p1) >= p1, so every minimizer lies below the
+    average power at the no-retransmission power, where the scan ends."""
+
+    @staticmethod
+    def check(c, sigma, method, quantile=None):
+        anchor = c.theta / -math.log1p(-c.eps)
+        bound = avg_power_given_p1(anchor, c, sigma, method,
+                                   quantile=quantile)
+        sol = optimal_p1_numeric(c, sigma, method, quantile=quantile)
+        assert sol.p1 <= bound
+        # the grid argmin's index on the 200-point log scan from 1e-3
+        index = round(199 * math.log(sol.diagnostics["grid_argmin_p1"] / 1e-3)
+                      / math.log(bound / 1e-3))
+        assert 0 < index < 199
+
+    @pytest.mark.parametrize("method", [QuantileMethod.ASYMPTOTIC,
+                                        QuantileMethod.WEIBULL])
+    @pytest.mark.parametrize("protocol", [Protocol.RTD, Protocol.INR])
+    def test_closed_form_quantiles(self, method, protocol):
+        for sigma in (0.3, 0.8, 1.0):
+            for eps in (1e-9, 1e-3):
+                for rate in (0.5, 20.0):
+                    self.check(cfg(protocol, rate, eps), sigma, method)
+
+    @pytest.mark.parametrize("protocol", [Protocol.RTD, Protocol.INR])
+    def test_exact_table(self, qcache, protocol):
+        self.check(cfg(protocol, 2.0, 1e-3), 0.8, QuantileMethod.EXACT,
+                   quantile=qcache.get(1e-3, 0.8))

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import paharq
-from paharq import QuadratureError, cli
+from paharq import BracketError, QuadratureError, cli
 from paharq.cli import COLUMNS, main
 
 
@@ -202,6 +202,9 @@ def test_bad_config_exits_one(tmp_path):
     ["headline", "--seed", "1"],
     ["headline", "--trials", "1000"],
     ["fig4", "--seed", "-1"],                # master seeds are >= 0
+    ["fig4", "--seed", "1", "--trials", "0"],    # trials are >= 1
+    ["fig4", "--seed", "1", "--trials", "-5"],
+    ["mc-verify", "--seed", "1", "--trials", "0"],
 ])
 def test_usage_errors_exit_one(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -210,26 +213,36 @@ def test_usage_errors_exit_one(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_fig3_bracket_failure_becomes_row(tmp_path):
-    # at eps=1e-9, rate 20 the RTD objective still falls at the top of the
-    # p1 bracket; the sweep must keep going and flag the row
+def test_config_trials_below_one_exit_one(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"trials": 0}))
+    with pytest.raises(SystemExit) as exc:
+        main(["mc-verify", "--seed", "1", "--config", str(config)])
+    assert exc.value.code == 1
+    assert "trials must be >= 1, got 0" in capsys.readouterr().err
+
+
+def test_fig3_one_in_a_billion_rate_20_solves(tmp_path):
+    # at eps=1e-9, rate 20 the RTD optimum is ~131 dB, beyond any fixed
+    # search range; the scan's bound reaches it
     out = tmp_path / "fig3.csv"
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({
         "eps": [1e-9], "rate": [20.0], "sigma": 0.8, "protocols": ["rtd"],
-        "methods": ["numeric-asymptotic"],
+        "methods": ["numeric-asymptotic", "numeric-exact", "closed-form"],
     }))
-    assert main(["fig3", "--config", str(config), "--out", str(out)]) == 2
-    rows = read_csv(out)
-    assert [r["method"] for r in rows] == ["numeric-asymptotic", "no-retx"]
-    assert "still decreasing" in rows[0]["error"]
-    assert rows[0]["avg_power"] == ""
-    assert rows[1]["error"] == "" and float(rows[1]["avg_power"]) > 0
+    assert main(["fig3", "--config", str(config), "--out", str(out)]) == 0
+    by_method = {r["method"]: r for r in read_csv(out)}
+    closed = float(by_method["closed-form"]["p1_db"])
+    for method in ("numeric-asymptotic", "numeric-exact"):
+        assert by_method[method]["error"] == ""
+        assert abs(float(by_method[method]["p1_db"]) - closed) <= 1e-3
 
 
-def test_quadrature_failure_becomes_row(tmp_path, monkeypatch):
+@pytest.mark.parametrize("error", [QuadratureError, BracketError])
+def test_quadrature_failure_becomes_row(tmp_path, monkeypatch, error):
     def failing(*args, **kwargs):
-        raise QuadratureError("integral error estimate too large")
+        raise error("the optimizer failed")
 
     monkeypatch.setattr(cli, "optimal_p1_numeric", failing)
     out = tmp_path / "fig3.csv"
@@ -240,8 +253,8 @@ def test_quadrature_failure_becomes_row(tmp_path, monkeypatch):
     }))
     assert main(["fig3", "--config", str(config), "--out", str(out)]) == 2
     by_method = {r["method"]: r for r in read_csv(out)}
-    assert by_method["numeric-asymptotic"]["error"] == \
-        "integral error estimate too large"
+    assert by_method["numeric-asymptotic"]["error"] == "the optimizer failed"
+    assert by_method["numeric-asymptotic"]["avg_power"] == ""
     assert by_method["closed-form"]["error"] == ""
     assert by_method["no-retx"]["error"] == ""
 
