@@ -3,9 +3,9 @@
 The objective is p1 plus the exponentially weighted integral of the
 round-two rule over the round-one failure region.  Two first-class routes:
 
-* a numeric route (grid-scan bracket plus golden section over log-power)
+* a numeric route (golden section over log-power on a provable bracket)
   against the quadrature objective with any quantile method; the objective
-  is one array operation over all powers of the scan, and
+  is one array operation over any number of powers, and
 * the closed form: with the asymptotic quantile the objective integrates
   exactly, its stationary point lands on the lower Lambert branch, and the
   minimum average power follows by substitution.  For INR the closed form
@@ -64,9 +64,7 @@ _BATCH = 2
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # golden section's bracket width on log p1: 1e-3 dB
 _TOL_LOG_P1 = 1e-3 * (math.log(10.0) / 10.0)
-# the optimizer's scan: powers log-spaced from the floor to its upper bound
 _P1_FLOOR = 1e-3
-_GRID_POINTS = 200
 
 
 class ClosedFormDomainError(PaharqError, ValueError):
@@ -79,7 +77,7 @@ class ClosedFormDomainError(PaharqError, ValueError):
 
 
 class BracketError(PaharqError, RuntimeError):
-    """The p1 scan found no minimum of the average power."""
+    """The p1 search found no minimum of the average power."""
 
 
 class QuadratureError(PaharqError, RuntimeError):
@@ -256,40 +254,42 @@ def golden_section_min(f, a: float, b: float, tol: float) -> float:
 def optimal_p1_numeric(cfg: HarqConfig, sigma: float,
                        method: QuantileMethod = QuantileMethod.EXACT,
                        quantile: GainQuantile | None = None) -> PowerSolution:
-    """Minimize the quadrature objective over log p1.
+    """Minimize the quadrature objective over log p1 by golden section.
 
-    P2 >= 0, so avg(p1) >= p1: no minimizer lies above the average power
-    at the no-retransmission power theta/(-log(1-eps)).  A log scan from
-    _P1_FLOOR up to that bound brackets the minimum (the global grid argmin
-    wins; extra local minima are counted in the diagnostics), and golden
-    section resolves p1 to 1e-3 dB.  BracketError if the average power is
-    not finite on the scan or still falling at its floor.
+    avg is convex in p1, so unimodal in log p1: the quantile of g2 given g1
+    does not depend on p1, and each round-two numerator is convex in p1:
+    RTD's (theta - g1 p1)+, INR's ((theta - g1 p1)/(1 + g1 p1))+ and the
+    Jensen (theta1 - g1 p1)+.  P2 >= 0 gives avg(p1) >= p1, so no minimizer
+    lies above avg(theta/(-log(1-eps))); the search runs from _P1_FLOOR to
+    there, to 1e-3 dB.  BracketError if an average power is not finite or
+    a minimizer lies at or below the floor: the bound does, or (convexity)
+    avg(_P1_FLOOR) <= avg(p1*).  Diagnostics: d log avg/d log p1 at p1*.
     """
     if quantile is None:
         quantile = GainQuantile(cfg.eps, sigma, method)
-    obj = lambda t: avg_power_given_p1(math.exp(t), cfg, sigma, method,
-                                       quantile=quantile)
-    p_hi = obj(math.log(cfg.theta / -math.log1p(-cfg.eps)))
-    ts = np.log(np.geomspace(_P1_FLOOR, p_hi, _GRID_POINTS))
-    ys = avg_power_given_p1_vec(np.exp(ts), cfg, sigma, method,
-                                quantile=quantile)
-    if not np.isfinite(ys).all():
-        raise BracketError("average power not finite on the p1 scan")
-    i = int(np.argmin(ys))
-    if i == 0 or p_hi <= _P1_FLOOR:
+
+    def obj(t):
+        p1 = math.exp(t)
+        y = avg_power_given_p1(p1, cfg, sigma, method, quantile=quantile)
+        if not math.isfinite(y):
+            raise BracketError(f"average power not finite at p1={p1:.6g}")
+        return y
+    t_lo = math.log(_P1_FLOOR)
+    t_hi = math.log(obj(math.log(cfg.theta / -math.log1p(-cfg.eps))))
+    t_opt = golden_section_min(obj, t_lo, t_hi, _TOL_LOG_P1)
+    avg = obj(t_opt)
+    if t_hi <= t_lo or obj(t_lo) <= avg:
         raise BracketError(f"average power still falling at p1={_P1_FLOOR:g}")
-    interior = (ys[1:-1] < ys[:-2]) & (ys[1:-1] < ys[2:])
-    n_local_minima = int(interior.sum())
-    t_opt = golden_section_min(obj, ts[i - 1],
-                               ts[min(i + 1, _GRID_POINTS - 1)], _TOL_LOG_P1)
-    p1 = math.exp(t_opt)
+    y_minus, y_plus = avg_power_given_p1_vec(
+        np.exp(t_opt + np.array([-1.0, 1.0]) * _TOL_LOG_P1), cfg, sigma,
+        method, quantile=quantile)
     return PowerSolution(
-        p1=p1,
-        avg_power=obj(t_opt),
+        p1=math.exp(t_opt),
+        avg_power=avg,
         protocol=cfg.protocol,
         method=f"numeric-{method.value}",
         m=m_coefficient(sigma),
         c=c_coefficient(cfg.eps, sigma),
-        diagnostics={"n_grid_local_minima": n_local_minima,
-                     "grid_argmin_p1": float(np.exp(ts[i]))},
+        diagnostics={"stationarity_residual":
+                     math.log(y_plus / y_minus) / (2.0 * _TOL_LOG_P1)},
     )

@@ -224,7 +224,7 @@ def test_config_trials_below_one_exit_one(tmp_path, capsys):
 
 def test_fig3_one_in_a_billion_rate_20_solves(tmp_path):
     # at eps=1e-9, rate 20 the RTD optimum is ~131 dB, beyond any fixed
-    # search range; the scan's bound reaches it
+    # search range; the search's provable bound reaches it
     out = tmp_path / "fig3.csv"
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({
