@@ -25,7 +25,6 @@ from .channel import (
     SIGMA_MIN,
     SPEED_OF_LIGHT,
     ChannelGeometry,
-    ChannelParams,
     GainQuantile,
     QuantileMethod,
     cond_cdf_g2,

@@ -97,24 +97,6 @@ def sigma_from_geometry(v: float, delta: float, f_c: float, d_a: float,
     return min(max(sigma, SIGMA_MIN), 1.0)
 
 
-@dataclass(frozen=True)
-class ChannelParams:
-    """Mismatch parameter, optionally carrying the geometry it came from."""
-
-    sigma: float
-    geometry: ChannelGeometry | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.sigma <= 1.0:
-            raise ValueError(f"sigma must be in (0, 1], got {self.sigma}")
-
-    @classmethod
-    def from_geometry(cls, geometry: ChannelGeometry, mapping=None):
-        sigma = sigma_from_geometry(geometry.v, geometry.delta, geometry.f_c,
-                                    geometry.d_a, mapping=mapping)
-        return cls(sigma=sigma, geometry=geometry)
-
-
 def cond_cdf_g2(x: float, g1: float, sigma: float) -> float:
     """P(g2 <= x | g1): the noncentral chi-square CDF of 2 g2 / sigma^2.
 
@@ -154,7 +136,10 @@ def inv_cond_cdf_g2(eps: float, g1, sigma: float,
     g = g.reshape(-1)
     s2 = sigma * sigma
     if method is QuantileMethod.ASYMPTOTIC:
-        x = -s2 * np.log1p(-eps) * np.exp(g * (1.0 - s2) / s2)
+        # exp overflows past g1 ~ 709.8 s2/(1-s2); the infinite quantile
+        # gives the round-two power its limit, 0
+        with np.errstate(over="ignore"):
+            x = -s2 * np.log1p(-eps) * np.exp(g * (1.0 - s2) / s2)
     else:
         s = np.sqrt(2.0 * g * (1.0 - s2)) / sigma
         if method is QuantileMethod.EXACT:
@@ -162,7 +147,10 @@ def inv_cond_cdf_g2(eps: float, g1, sigma: float,
             x = 0.5 * s2 * rho * rho
         elif method is QuantileMethod.WEIBULL:
             scale, shape = weibull_fit_parameters(s)
-            x = 0.5 * s2 * (-np.log1p(-eps) / scale) ** (2.0 / shape)
+            # the fitted scale underflows to 0 near s = 25, where the
+            # quantile is infinite (README, "Known limitations")
+            with np.errstate(over="ignore", divide="ignore"):
+                x = 0.5 * s2 * (-np.log1p(-eps) / scale) ** (2.0 / shape)
         else:
             raise ValueError(f"unknown method {method!r}")
     return float(x[0]) if np.ndim(g1) == 0 else x.reshape(np.shape(g1))

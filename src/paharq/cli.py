@@ -16,9 +16,11 @@ mc-verify closed forms vs protocol-level simulation with z-scores
 
 The table `_COMMANDS` holds, per subcommand but eval, the flags it takes
 and its point grid: point functions and the config lists they run over,
-all run by `_run`.  fig3, fig5 and headline share one point function;
-their `_Sweep` data says what differs.  eval calls the package function
-named by its op, with the parameters read from its signature.
+all run by `_run`.  The config is the subcommand's packaged
+configs/<name>.json with the --config keys over it.  fig3, fig5 and
+headline share one point function; their `_Sweep` data says what
+differs.  eval calls the package function named by its op, with the
+parameters read from its signature.
 
 Reproducibility: every row carries the master seed and the code version;
 per-row Monte Carlo seeds are spawned from the master seed's SeedSequence
@@ -37,9 +39,9 @@ import itertools
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from functools import cache, partial
+from importlib.resources import files
 from typing import NamedTuple
 
 import numpy as np
@@ -84,54 +86,9 @@ COLUMNS = [
     "code_version", "error",
 ]
 
-DELTA_DEFAULT = 5e-3        # processing delay [s]
-FC_DEFAULT = 2.68e9         # carrier frequency [Hz]
-
 # failures that turn one row into an annotated error row instead of
 # aborting the sweep
 _ROW_ERRORS = (PaharqError, ValueError)
-
-DEFAULTS = {
-    "fig3": {
-        "eps": [10.0 ** (-5 + 0.5 * i) for i in range(9)],
-        "rate": [0.5, 2.0],
-        "sigma": 0.8,
-        "protocols": ["rtd", "inr"],
-        "methods": ["numeric-exact", "closed-form"],
-    },
-    "fig4": {
-        "eps": [10.0 ** (-4 + 0.5 * i) for i in range(7)],
-        "rate": [0.5, 2.0],
-        "sigma": 0.8,
-        "protocols": ["rtd", "inr"],
-        "trials": 100_000,
-    },
-    "fig5": {
-        "v_kmh": [float(v) for v in range(2, 162, 2)],
-        "d_a_wavelengths": [1.5, 0.75],
-        "rate": 3.0,
-        "eps": 1e-3,
-        "delta": DELTA_DEFAULT,
-        "f_c": FC_DEFAULT,
-        "protocols": ["rtd", "inr"],
-        "methods": ["numeric-exact", "closed-form"],
-    },
-    "headline": {
-        "eps": 1e-5,
-        "rate": 4.0,
-        "sigma": 0.8,
-    },
-    "mc-verify": {
-        "eps": [1e-3, 1e-2],
-        "rate": 1.0,
-        "sigma": [0.5, 0.8, 1.0],
-        "p1": 1.0,
-        "open_loop_power_db": [10.0, 20.0],
-        "open_loop_rate": [0.5, 2.0],
-        "open_loop_sigma": 0.8,
-        "trials": 100_000,
-    },
-}
 
 
 def _fmt(value) -> str:
@@ -189,8 +146,17 @@ def _write_csv(rows, out_path):
             handle.close()
 
 
+@cache
+def _default_config(name: str) -> str:
+    """The text of the subcommand's packaged configs/<name>.json, read once
+    per process."""
+    path = files(__package__) / "configs" / f"{name.replace('-', '_')}.json"
+    return path.read_text()
+
+
 def _load_config(name: str, path: str | None, overrides: dict) -> dict:
-    cfg = dict(DEFAULTS[name])
+    # parsed per call, so no caller shares the lists of another
+    cfg = json.loads(_default_config(name))
     if path:
         with open(path) as fh:
             loaded = json.load(fh)
@@ -328,31 +294,29 @@ def _fig4_point(config, master_seed, rate, eps, protocol_name):
     sigma = float(config["sigma"])
     trials = int(config["trials"])
     protocol = Protocol(protocol_name)
-    row = _row(figure="fig4", eps=eps, rate=rate, sigma=sigma,
-               protocol=protocol.value, method="closed-form",
-               n_trials=trials, seed=master_seed)
-    rows = [row]
-    try:
+    coords = dict(figure="fig4", eps=eps, rate=rate, sigma=sigma,
+                  protocol=protocol.value)
+    rows = []
+    with _error_row(rows, coords, method="closed-form", n_trials=trials,
+                    seed=master_seed):
         P = open_loop_round_power(eps, rate, sigma, protocol)
         avg = open_loop_avg_power(P, rate)
-        row.update(round_power=P, avg_power=avg, avg_power_db=_db(avg),
-                   outage_closed=eps)
         # sample the failed-round-one ensemble directly so small targets
         # are resolvable at a fixed trial count
         seed = _row_seed(master_seed, "fig4", eps, rate, protocol.value)
         report = run_open_loop_conditional(P, rate, sigma, protocol,
                                            n_trials=trials, seed=seed)
-        row.update(outage_mc=report.cond_round2_outage,
-                   outage_mc_se=report.cond_round2_se,
-                   n_denominator=report.n_round2, seed=seed,
-                   outage_exact=open_loop_outage_exact(P, rate, sigma,
-                                                       protocol))
-    except _ROW_ERRORS as exc:
-        row["error"] = str(exc)
+        rows.append(_row(
+            method="closed-form", round_power=P, avg_power=avg,
+            avg_power_db=_db(avg), outage_closed=eps,
+            outage_exact=open_loop_outage_exact(P, rate, sigma, protocol),
+            outage_mc=report.cond_round2_outage,
+            outage_mc_se=report.cond_round2_se,
+            n_denominator=report.n_round2, n_trials=trials, seed=seed,
+            **coords))
     no_retx = no_retx_required_power(eps, rate)
-    rows.append(_row(figure="fig4", eps=eps, rate=rate, sigma=sigma,
-                     protocol=protocol.value, method="no-retx",
-                     avg_power=no_retx, avg_power_db=_db(no_retx)))
+    rows.append(_row(method="no-retx", avg_power=no_retx,
+                     avg_power_db=_db(no_retx), **coords))
     return rows
 
 
@@ -564,6 +528,8 @@ def _run(grid, config: dict, master_seed, workers: int = 1):
                 axis if isinstance(axis, tuple) else config[axis]
                 for axis in axes))]
     if workers > 1:
+        # imported here, so that loading the CLI leaves multiprocessing out
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             nested = list(pool.map(_apply, jobs))
     else:

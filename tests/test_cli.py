@@ -309,7 +309,9 @@ def test_mc_verify_workers_do_not_change_bytes(tmp_path):
 def test_cli_import_leaves_scipy_stats_out():
     # importing scipy.stats adds about half a second to the CLI start-up
     env = dict(os.environ, PYTHONPATH=str(Path(paharq.__file__).parents[1]))
-    code = "import sys, paharq.cli; sys.exit('scipy.stats' in sys.modules)"
+    # and so would multiprocessing, which only --workers above 1 needs
+    code = ("import sys, paharq.cli; sys.exit('scipy.stats' in sys.modules"
+            " or 'multiprocessing' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
@@ -329,8 +331,8 @@ def test_row_seeds_do_not_swap_between_master_seeds():
 
 
 def test_row_seeds_distinct_over_default_coordinates():
-    fig4 = cli.DEFAULTS["fig4"]
-    verify = cli.DEFAULTS["mc-verify"]
+    fig4 = cli._load_config("fig4", None, {})
+    verify = cli._load_config("mc-verify", None, {})
     coords = [("fig4", eps, rate, proto) for eps in fig4["eps"]
               for rate in fig4["rate"] for proto in fig4["protocols"]]
     coords += [(kind, proto, eps, sigma) for kind in ("cl", "cf")
@@ -476,11 +478,33 @@ def test_sigma_outside_unit_interval_exits_one(tmp_path, capsys, method):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", sorted(cli.DEFAULTS))
-def test_config_files_are_the_defaults(command):
-    path = (Path(__file__).resolve().parents[1] / "configs"
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_every_subcommand_has_a_packaged_config(command):
+    path = (Path(cli.__file__).with_name("configs")
             / f"{command.replace('-', '_')}.json")
-    assert json.loads(path.read_text()) == cli.DEFAULTS[command]
+    packaged = json.loads(path.read_text())
+    assert packaged and cli._load_config(command, None, {}) == packaged
+
+
+def test_fig4_error_row_bytes(tmp_path):
+    # an unreachable target: the closed-form row carries only its
+    # coordinates, trials, master seed and the message
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "eps": [1e-9], "rate": [6.0], "sigma": 0.05, "protocols": ["rtd"],
+        "trials": 1000}))
+    out = tmp_path / "fig4.csv"
+    assert main(["fig4", "--seed", "3", "--config", str(config),
+                 "--out", str(out)]) == 2
+    assert out.read_text().splitlines()[1:] == [
+        "fig4,1.0000000000000001e-09,6,0.050000000000000003,,,rtd,"
+        f"closed-form,,,,,,,,,,,,,,,,,1000,3,{paharq.__version__},"
+        "\"outage target 1e-09 unreachable for rate=6.0, sigma=0.05, "
+        "protocol=rtd\"",
+        "fig4,1.0000000000000001e-09,6,0.050000000000000003,,,rtd,no-retx,,,"
+        f"402428793291.52063,116.04689046402399,,,,,,,,,,,,,,,"
+        f"{paharq.__version__},",
+    ]
 
 
 def test_library_errors_share_one_base():
