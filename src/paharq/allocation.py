@@ -3,19 +3,21 @@
 The objective is p1 plus the exponentially weighted integral of the
 round-two rule over the round-one failure region.  Two first-class routes:
 
-* a numeric route (golden section over log-power on a provable bracket)
-  against the quadrature objective with any quantile method; the objective
-  is one array operation over any number of powers, and
+* a numeric route against the quadrature objective with any quantile
+  method (the root of its slope on a provable bracket); the objective is
+  one array operation over any number of powers, and
 * the closed form: with the asymptotic quantile the objective integrates
   exactly, its stationary point lands on the lower Lambert branch, and the
   minimum average power follows by substitution.  For INR the closed form
   uses the Jensen-simplified threshold.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import optimize
 
 from .channel import (
     G_MAX,
@@ -61,8 +63,7 @@ _EDGES = np.concatenate(([0.0], QUANTILE_KNOTS[0] * 2.0 ** np.arange(-14, 0),
 # Powers per array evaluation; bounds the powers x panels x 15 node arrays.
 _BATCH = 2
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-# golden section's bracket width on log p1: 1e-3 dB
+# brentq's tolerance on log p1: 1e-3 dB
 _TOL_LOG_P1 = 1e-3 * (math.log(10.0) / 10.0)
 _P1_FLOOR = 1e-3
 
@@ -128,23 +129,32 @@ def avg_power_given_p1_vec(p1s, cfg: HarqConfig, sigma: float,
                            method: QuantileMethod = QuantileMethod.EXACT,
                            quantile: GainQuantile | None = None) -> np.ndarray:
     """Expected total power p1 + E[P2(g1); round one fails] at each power
-    of the 1-D array p1s.
-
-    The integral of e^-g1 P2(g1) over [0, min(theta/p1, G_MAX)] uses a
-    7/15-point Gauss-Kronrod rule on fixed panels (_EDGES: 0, halvings of
-    the first table knot, then the exact quantile table's knots), clipped
-    at each power's upper limit, so no panel straddles a knot of the
-    piecewise-cubic table.  For INR with the ASYMPTOTIC method the
-    integrand keeps the Jensen numerator floored at zero (the convention
-    whose integral the closed form reproduces; the simulator-side fallback
-    is a separate choice), and one more edge sits at its kink theta1/p1.
-    The summed |Kronrod - Gauss| panel differences are the error estimate;
-    QuadratureError if it exceeds 1e-6 max(value, p1) at any power.
+    of the 1-D array p1s: p1 plus _integral's value, QuadratureError if its
+    error estimate exceeds 1e-6 max(value, p1).  For INR with the
+    ASYMPTOTIC method the integrand keeps the Jensen numerator floored at
+    zero (the convention whose integral the closed form reproduces; the
+    simulator-side fallback is a separate choice).
     """
     p1s = np.asarray(p1s, dtype=float)
     if np.any(p1s <= 0):
         raise ValueError(f"p1 must be > 0, got {p1s.min()}")
     rule = P2Rule(cfg, sigma, method, jensen_fallback=False, quantile=quantile)
+    return p1s + _integral(rule, rule, p1s, p1s)
+
+
+def _integral(rule: P2Rule, integrand, p1s: np.ndarray, base) -> np.ndarray:
+    """Per power of p1s: the integral of e^-g1 integrand(g1, p1), with
+    integrand `rule` or `rule.slope`, over [0, min(theta/p1, G_MAX)].
+
+    A 7/15-point Gauss-Kronrod rule on fixed panels (_EDGES: 0, halvings of
+    the first table knot, then the exact quantile table's knots), clipped
+    at each power's upper limit, so no panel straddles a knot of the
+    piecewise-cubic table; for INR with the ASYMPTOTIC method one more edge
+    sits at the Jensen numerator's kink theta1/p1.  The summed
+    |Kronrod - Gauss| panel differences are the error estimate;
+    QuadratureError if it exceeds 1e-6 max(|value|, base) at any power.
+    """
+    cfg, method = rule.cfg, rule.method
     g_hi = np.minimum(cfg.theta / p1s, G_MAX)
     split = g_hi
     if cfg.protocol is Protocol.INR and method is QuantileMethod.ASYMPTOTIC:
@@ -153,32 +163,23 @@ def avg_power_given_p1_vec(p1s, cfg: HarqConfig, sigma: float,
     err = np.empty(p1s.size)
     for lo in range(0, p1s.size, _BATCH):
         batch = slice(lo, lo + _BATCH)
-        val[batch], err[batch] = _gauss_kronrod(rule, p1s[batch],
-                                                g_hi[batch], split[batch])
-    bad = err > 1e-6 * np.maximum(val, p1s)
+        edges = _EDGES[:int(np.searchsorted(_EDGES, g_hi[batch].max())) + 1]
+        edges = np.sort(np.concatenate((np.minimum(edges, g_hi[batch, None]),
+                                        split[batch, None]), axis=1), axis=1)
+        half = 0.5 * np.diff(edges, axis=1)[..., None]
+        x = 0.5 * (edges[:, 1:] + edges[:, :-1])[..., None] + half * _XK
+        f = half * np.exp(-x) * integrand(x, p1s[batch, None, None])
+        kronrod = f @ _WK
+        val[batch] = kronrod.sum(axis=1)
+        err[batch] = np.abs(kronrod - f[..., 1::2] @ _WG).sum(axis=1)
+    bad = err > 1e-6 * np.maximum(np.abs(val), base)
     if bad.any():
         i = int(np.argmax(bad))
         raise QuadratureError(
             f"integral error estimate {err[i]:.3g} too large for value "
-            f"{val[i]:.6g} (p1={p1s[i]:.6g}, sigma={sigma}, "
+            f"{val[i]:.6g} (p1={p1s[i]:.6g}, sigma={rule.sigma}, "
             f"method={method.value})")
-    return p1s + val
-
-
-def _gauss_kronrod(rule: P2Rule, p1: np.ndarray, g_hi: np.ndarray,
-                   split: np.ndarray):
-    """Per power: the Kronrod integral of e^-g1 rule(g1, p1) over the
-    clipped panels plus an extra edge at `split`, and the summed
-    |Kronrod - Gauss| panel differences."""
-    n_edges = int(np.searchsorted(_EDGES, g_hi.max())) + 1
-    edges = np.minimum(_EDGES[:n_edges], g_hi[:, None])
-    edges = np.sort(np.concatenate((edges, split[:, None]), axis=1), axis=1)
-    half = 0.5 * np.diff(edges, axis=1)[..., None]
-    x = 0.5 * (edges[:, 1:] + edges[:, :-1])[..., None] + half * _XK
-    f = half * np.exp(-x) * rule(x, p1[:, None, None])
-    kronrod = f @ _WK
-    gauss = f[..., 1::2] @ _WG
-    return kronrod.sum(axis=1), np.abs(kronrod - gauss).sum(axis=1)
+    return val
 
 
 def closed_form_avg_power(p1: float, cfg: HarqConfig, sigma: float) -> float:
@@ -231,65 +232,49 @@ def optimal_p1_closed_form(cfg: HarqConfig, sigma: float) -> PowerSolution:
     )
 
 
-def golden_section_min(f, a: float, b: float, tol: float) -> float:
-    """Scalar golden-section minimizer on [a, b] for a unimodal f."""
-    h = b - a
-    c = b - _INV_PHI * h
-    d = a + _INV_PHI * h
-    yc, yd = f(c), f(d)
-    while h > tol:
-        if yc < yd:
-            b, d, yd = d, c, yc
-            h = b - a
-            c = b - _INV_PHI * h
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            h = b - a
-            d = a + _INV_PHI * h
-            yd = f(d)
-    return 0.5 * (a + b)
-
-
 def optimal_p1_numeric(cfg: HarqConfig, sigma: float,
                        method: QuantileMethod = QuantileMethod.EXACT,
                        quantile: GainQuantile | None = None) -> PowerSolution:
-    """Minimize the quadrature objective over log p1 by golden section.
+    """Minimize the quadrature objective: brentq on its slope in log p1.
 
-    avg is convex in p1, so unimodal in log p1: the quantile of g2 given g1
-    does not depend on p1, and each round-two numerator is convex in p1:
-    RTD's (theta - g1 p1)+, INR's ((theta - g1 p1)/(1 + g1 p1))+ and the
-    Jensen (theta1 - g1 p1)+.  P2 >= 0 gives avg(p1) >= p1, so no minimizer
-    lies above avg(theta/(-log(1-eps))); the search runs from _P1_FLOOR to
-    there, to 1e-3 dB.  BracketError if an average power is not finite or
-    a minimizer lies at or below the floor: the bound does, or (convexity)
-    avg(_P1_FLOOR) <= avg(p1*).  Diagnostics: d log avg/d log p1 at p1*.
+    avg is convex in p1: the g2|g1 quantile does not depend on p1, and each
+    round-two numerator is convex in p1 (RTD's (theta - g1 p1)+, INR's
+    ((theta - g1 p1)/(1 + g1 p1))+, the Jensen (theta1 - g1 p1)+).  P2
+    vanishes at theta/p1, so the slope is 1 + the integral of e^-g1 dP2/dp1.
+    P2 >= 0 gives avg >= p1, so no minimizer lies above the bound
+    avg(theta/(-log(1-eps))).  The root is sought on [_P1_FLOOR, bound] to
+    1e-3 dB; BracketError if the slope at the floor is >= 0, the bound is
+    at or under it, or an average power is not finite.  Diagnostics: the
+    slope of log avg in log p1 at the root and the integrals computed.
     """
     if quantile is None:
         quantile = GainQuantile(cfg.eps, sigma, method)
+    rule = P2Rule(cfg, sigma, method, jensen_fallback=False, quantile=quantile)
 
-    def obj(t):
-        p1 = math.exp(t)
+    def avg(p1):
         y = avg_power_given_p1(p1, cfg, sigma, method, quantile=quantile)
         if not math.isfinite(y):
             raise BracketError(f"average power not finite at p1={p1:.6g}")
         return y
+
+    @functools.cache    # brentq evaluates the floor again
+    def slope(t):       # d avg/d p1 at p1 = e^t
+        p1 = np.array([math.exp(t)])
+        return 1.0 + float(_integral(rule, rule.slope, p1, 1.0)[0])
     t_lo = math.log(_P1_FLOOR)
-    t_hi = math.log(obj(math.log(cfg.theta / -math.log1p(-cfg.eps))))
-    t_opt = golden_section_min(obj, t_lo, t_hi, _TOL_LOG_P1)
-    avg = obj(t_opt)
-    if t_hi <= t_lo or obj(t_lo) <= avg:
+    bound = avg(cfg.theta / -math.log1p(-cfg.eps))
+    if bound <= _P1_FLOOR or not slope(t_lo) < 0.0:
         raise BracketError(f"average power still falling at p1={_P1_FLOOR:g}")
-    y_minus, y_plus = avg_power_given_p1_vec(
-        np.exp(t_opt + np.array([-1.0, 1.0]) * _TOL_LOG_P1), cfg, sigma,
-        method, quantile=quantile)
+    t_opt = optimize.brentq(slope, t_lo, math.log(bound), xtol=_TOL_LOG_P1)
+    p1 = math.exp(t_opt)
+    y = avg(p1)
     return PowerSolution(
-        p1=math.exp(t_opt),
-        avg_power=avg,
+        p1=p1,
+        avg_power=y,
         protocol=cfg.protocol,
         method=f"numeric-{method.value}",
         m=m_coefficient(sigma),
         c=c_coefficient(cfg.eps, sigma),
-        diagnostics={"stationarity_residual":
-                     math.log(y_plus / y_minus) / (2.0 * _TOL_LOG_P1)},
+        diagnostics={"stationarity_residual": p1 * slope(t_opt) / y,
+                     "integrals": slope.cache_info().currsize + 2},
     )

@@ -46,9 +46,11 @@ def _zeta_closed_u(u: float, sigma: float) -> float:
         num = 3.0 * s2 * u * u - 2.0 * u**3 + c4 * u**4
     else:
         a = 12.0 * s6 - 6.0 * s8
-        b = (a + (12.0 * s4 - 6.0 * s6) * u + (3.0 * s2 - 3.0 * s4) * u * u
-             + (1.0 - s2) * u**3)
-        num = a - math.exp(-u / s2) * b
+        e = math.exp(-u / s2)
+        # e underflows to 0 long before the float power u**3 overflows
+        num = a if e == 0.0 else a - e * (
+            a + (12.0 * s4 - 6.0 * s6) * u + (3.0 * s2 - 3.0 * s4) * u * u
+            + (1.0 - s2) * u**3)
     return num / den
 
 

@@ -170,6 +170,20 @@ class P2Rule:
             p2 = np.where(num > 0.0, num / self.quantile(g1), 0.0)
         return p2
 
+    def slope(self, g1, p1) -> np.ndarray:
+        """dP2/dp1: the numerator's derivative (-g1, or -g1 (1+theta)/
+        (1+g1 p1)^2 for INR's exact numerator) over the quantile."""
+        g1, p1 = np.asarray(g1, dtype=float), np.asarray(p1, dtype=float)
+        cfg = self.cfg
+        num, fallback = _round_two_numerator(cfg.protocol, cfg, self.method,
+                                             g1, p1, self.jensen_fallback)
+        d = -g1
+        if cfg.protocol is Protocol.INR:
+            exact = fallback | (self.method is not QuantileMethod.ASYMPTOTIC)
+            d = np.where(exact, d * (1.0 + cfg.theta) / (1.0 + g1 * p1)**2, d)
+        with np.errstate(invalid="ignore"):
+            return np.where(num > 0.0, d / self.quantile(g1), 0.0)
+
 
 def _require_p1(cfg: HarqConfig) -> float:
     if cfg.p1 is None:

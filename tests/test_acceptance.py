@@ -13,11 +13,11 @@ import math
 import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
+from scipy.optimize import minimize_scalar
 
 from paharq.allocation import (
     avg_power_given_p1,
     closed_form_avg_power,
-    golden_section_min,
     optimal_p1_closed_form,
     optimal_p1_numeric,
 )
@@ -123,15 +123,18 @@ def inr_grid_solutions(qcache):
 
 class TestClosedFormFidelity:
     def test_matches_minimizer_of_its_own_objective(self):
-        """Lambert-branch stationary point vs golden section: <= 0.01 dB."""
+        """Lambert-branch stationary point vs a bounded scalar minimizer:
+        <= 0.01 dB."""
         worst = 0.0
         for eps in EPS_GRID:
             for rate in RATES:
                 cfg = HarqConfig(Protocol.RTD, rate, eps)
                 sol = optimal_p1_closed_form(cfg, SIGMA)
                 obj = lambda t: closed_form_avg_power(math.exp(t), cfg, SIGMA)
-                t = golden_section_min(obj, math.log(sol.p1) - 2.0,
-                                       math.log(sol.p1) + 2.0, 1e-7)
+                t = minimize_scalar(obj, bounds=(math.log(sol.p1) - 2.0,
+                                                 math.log(sol.p1) + 2.0),
+                                    method="bounded",
+                                    options={"xatol": 1e-7}).x
                 worst = max(worst, abs(DB(math.exp(t)) - sol.p1_db))
         print(f"[fidelity] closed vs own-objective argmin: worst {worst:.2e} dB")
         assert worst <= 0.01

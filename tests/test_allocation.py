@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate, special
+from scipy.optimize import minimize_scalar
 
 from paharq import allocation
 from paharq.allocation import (
@@ -13,7 +14,6 @@ from paharq.allocation import (
     avg_power_given_p1_vec,
     c_coefficient,
     closed_form_avg_power,
-    golden_section_min,
     m_coefficient,
     optimal_p1_closed_form,
     optimal_p1_numeric,
@@ -222,12 +222,13 @@ class TestClosedFormOptimum:
                 sol = optimal_p1_closed_form(cfg(rate=rate, eps=eps), 0.8)
                 assert abs(sol.diagnostics["stationarity_residual"]) <= 1e-9
 
-    def test_matches_golden_section_on_closed_objective(self):
+    def test_matches_bounded_minimizer_on_closed_objective(self):
         c = cfg(rate=2.0, eps=1e-3)
         sol = optimal_p1_closed_form(c, 0.8)
         obj = lambda t: closed_form_avg_power(math.exp(t), c, 0.8)
-        t = golden_section_min(obj, math.log(sol.p1) - 2.0,
-                               math.log(sol.p1) + 2.0, 1e-7)
+        t = minimize_scalar(obj, bounds=(math.log(sol.p1) - 2.0,
+                                         math.log(sol.p1) + 2.0),
+                            method="bounded", options={"xatol": 1e-7}).x
         assert abs(10 * math.log10(math.exp(t)) - sol.p1_db) <= 0.01
 
     def test_inr_needs_less_power(self):
@@ -335,6 +336,40 @@ class TestNumericOptimum:
                                  quantile=qcache.get(1e-3, 0.8))
         assert sol.method == "numeric-exact"
         assert sol.protocol is Protocol.RTD
+
+
+class TestSlope:
+    """The slope the optimizer solves for: d avg/d p1 = 1 + the integral of
+    e^-g1 dP2/dp1 over the same panels as the objective."""
+
+    @pytest.mark.parametrize("method", list(QuantileMethod))
+    @pytest.mark.parametrize("protocol", [Protocol.RTD, Protocol.INR])
+    def test_matches_central_difference(self, qcache, protocol, method):
+        c = cfg(protocol=protocol)
+        q = qcache.get(1e-3, 0.8, method)
+        rule = P2Rule(c, 0.8, method, jensen_fallback=False, quantile=q)
+        p_opt = optimal_p1_numeric(c, 0.8, method, quantile=q).p1
+        for p1 in (0.5 * p_opt, p_opt, 2.0 * p_opt):
+            slope = 1.0 + allocation._integral(rule, rule.slope,
+                                               np.array([p1]), 1.0)[0]
+            h = 1e-4 * p1
+            lo, hi = avg_power_given_p1_vec([p1 - h, p1 + h], c, 0.8, method,
+                                            quantile=q)
+            assert slope == pytest.approx((hi - lo) / (2.0 * h), abs=1e-6)
+
+    def test_integrals_diagnostic_counts_every_power(self, monkeypatch):
+        powers = []
+        integral = allocation._integral
+
+        def counting(rule, integrand, p1s, base):
+            powers.append(p1s.size)
+            return integral(rule, integrand, p1s, base)
+        monkeypatch.setattr(allocation, "_integral", counting)
+        for protocol in (Protocol.RTD, Protocol.INR):
+            powers.clear()
+            sol = optimal_p1_numeric(cfg(protocol), 0.8,
+                                     QuantileMethod.ASYMPTOTIC)
+            assert sol.diagnostics["integrals"] == sum(powers) >= 3
 
 
 def check_one_grid_minimum(sol, c, sigma, method, quantile=None):

@@ -507,6 +507,23 @@ def test_fig4_error_row_bytes(tmp_path):
     ]
 
 
+def test_fig4_rate_past_polynomial_overflow(tmp_path):
+    # at rate 230 theta/P passes 1e102 at the bracket's P = 1e-6, where
+    # the closed form's u**3 overflows a float unless e^(-u/sigma^2),
+    # which has underflowed to 0, drops the polynomial first
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"rate": [230.0], "eps": [0.01],
+                                  "protocols": ["rtd"], "trials": 1000}))
+    out = tmp_path / "fig4.csv"
+    assert main(["fig4", "--seed", "3", "--config", str(config),
+                 "--out", str(out)]) == 2
+    closed, no_retx = read_csv(out)
+    assert closed["method"] == "closed-form"
+    assert closed["error"].startswith("outage target 0.01 unreachable")
+    assert closed["round_power"] == ""
+    assert no_retx["method"] == "no-retx" and no_retx["error"] == ""
+
+
 def test_library_errors_share_one_base():
     for cls, base in ((paharq.BracketError, RuntimeError),
                       (paharq.QuadratureError, RuntimeError),
