@@ -24,7 +24,6 @@ from .benchmarks import (
 from .channel import (
     SIGMA_MIN,
     SPEED_OF_LIGHT,
-    ChannelGeometry,
     GainQuantile,
     QuantileMethod,
     cond_cdf_g2,

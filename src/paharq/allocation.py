@@ -4,8 +4,8 @@ The objective is p1 plus the exponentially weighted integral of the
 round-two rule over the round-one failure region.  Two first-class routes:
 
 * a numeric route against the quadrature objective with any quantile
-  method (the root of its slope on a provable bracket); the objective is
-  one array operation over any number of powers, and
+  method (the root of its slope on a provable bracket); the objective
+  takes one power or an array of them, and
 * the closed form: with the asymptotic quantile the objective integrates
   exactly, its stationary point lands on the lower Lambert branch, and the
   minimum average power follows by substitution.  For INR the closed form
@@ -60,8 +60,6 @@ _WG = np.concatenate((_WG_HALF, _WG_HALF[-2::-1]))
 # resolve the INR numerator's drop at g1 ~ 1/p1 for powers up to ~1e12.
 _EDGES = np.concatenate(([0.0], QUANTILE_KNOTS[0] * 2.0 ** np.arange(-14, 0),
                          QUANTILE_KNOTS))
-# Powers per array evaluation; bounds the powers x panels x 15 node arrays.
-_BATCH = 2
 
 # brentq's tolerance on log p1: 1e-3 dB
 _TOL_LOG_P1 = 1e-3 * (math.log(10.0) / 10.0)
@@ -93,8 +91,6 @@ class PowerSolution:
     avg_power: float
     protocol: Protocol
     method: str              # "closed-form" or "numeric-<quantile method>"
-    m: float                 # 1 / sigma^2
-    c: float                 # -1 / (sigma^2 log(1 - eps))
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -114,32 +110,23 @@ def c_coefficient(eps: float, sigma: float) -> float:
     return -1.0 / (sigma * sigma * math.log1p(-eps))
 
 
-def avg_power_given_p1(p1: float, cfg: HarqConfig, sigma: float,
+def avg_power_given_p1(p1, cfg: HarqConfig, sigma: float,
                        method: QuantileMethod = QuantileMethod.EXACT,
-                       quantile: GainQuantile | None = None) -> float:
-    """Expected total power p1 + E[P2(g1); round one fails] at one power.
-
-    A one-element call of avg_power_given_p1_vec.
-    """
-    return float(avg_power_given_p1_vec([p1], cfg, sigma, method,
-                                        quantile=quantile)[0])
-
-
-def avg_power_given_p1_vec(p1s, cfg: HarqConfig, sigma: float,
-                           method: QuantileMethod = QuantileMethod.EXACT,
-                           quantile: GainQuantile | None = None) -> np.ndarray:
+                       quantile: GainQuantile | None = None):
     """Expected total power p1 + E[P2(g1); round one fails] at each power
-    of the 1-D array p1s: p1 plus _integral's value, QuadratureError if its
-    error estimate exceeds 1e-6 max(value, p1).  For INR with the
+    of a float or 1-D array p1: p1 plus _integral's value, QuadratureError
+    if its error estimate exceeds 1e-6 max(value, p1).  A float gives a
+    float, bit for bit the element of an array call.  For INR with the
     ASYMPTOTIC method the integrand keeps the Jensen numerator floored at
     zero (the convention whose integral the closed form reproduces; the
     simulator-side fallback is a separate choice).
     """
-    p1s = np.asarray(p1s, dtype=float)
+    p1s = np.asarray(p1, dtype=float).reshape(-1)
     if np.any(p1s <= 0):
         raise ValueError(f"p1 must be > 0, got {p1s.min()}")
     rule = P2Rule(cfg, sigma, method, jensen_fallback=False, quantile=quantile)
-    return p1s + _integral(rule, rule, p1s, p1s)
+    y = p1s + _integral(rule, rule, p1s, p1s)
+    return float(y[0]) if np.ndim(p1) == 0 else y
 
 
 def _integral(rule: P2Rule, integrand, p1s: np.ndarray, base) -> np.ndarray:
@@ -161,8 +148,9 @@ def _integral(rule: P2Rule, integrand, p1s: np.ndarray, base) -> np.ndarray:
         split = np.minimum(cfg.theta1 / p1s, g_hi)
     val = np.empty(p1s.size)
     err = np.empty(p1s.size)
-    for lo in range(0, p1s.size, _BATCH):
-        batch = slice(lo, lo + _BATCH)
+    for i in range(p1s.size):
+        # one power at a time, so each value is the one it has on its own
+        batch = slice(i, i + 1)
         edges = _EDGES[:int(np.searchsorted(_EDGES, g_hi[batch].max())) + 1]
         edges = np.sort(np.concatenate((np.minimum(edges, g_hi[batch, None]),
                                         split[batch, None]), axis=1), axis=1)
@@ -226,8 +214,6 @@ def optimal_p1_closed_form(cfg: HarqConfig, sigma: float) -> PowerSolution:
         avg_power=closed_form_avg_power(p1, cfg, sigma),
         protocol=cfg.protocol,
         method="closed-form",
-        m=m,
-        c=c,
         diagnostics={"stationarity_residual": residual},
     )
 
@@ -273,8 +259,6 @@ def optimal_p1_numeric(cfg: HarqConfig, sigma: float,
         avg_power=y,
         protocol=cfg.protocol,
         method=f"numeric-{method.value}",
-        m=m_coefficient(sigma),
-        c=c_coefficient(cfg.eps, sigma),
         diagnostics={"stationarity_residual": p1 * slope(t_opt) / y,
                      "integrals": slope.cache_info().currsize + 2},
     )

@@ -74,14 +74,6 @@ def zeta_inr_closed(P: float, rate: float, sigma: float) -> float:
     return min(max(_zeta_closed_u(theta1(rate) / P, sigma), 0.0), 1.0)
 
 
-def zeta_closed_raw(P: float, rate: float, sigma: float,
-                    protocol: Protocol = Protocol.RTD) -> float:
-    """Unclamped closed-form outage, for auditing clamp excursions."""
-    _check(P, sigma)
-    th = theta(rate) if protocol is Protocol.RTD else theta1(rate)
-    return _zeta_closed_u(th / P, sigma)
-
-
 def open_loop_outage_exact(P: float, rate: float, sigma: float,
                            protocol: Protocol = Protocol.RTD) -> float:
     """Open-loop conditional outage by quadrature of the true conditional CDF.

@@ -11,7 +11,6 @@ pluggable spatial-correlation mapping.
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sp_special
@@ -46,35 +45,6 @@ class QuantileMethod(enum.Enum):
     ASYMPTOTIC = "asymptotic"  # small-quantile closed form
 
 
-@dataclass(frozen=True)
-class ChannelGeometry:
-    """Drive geometry from which the spatial mismatch is derived."""
-
-    v: float        # vehicle speed [m/s]
-    delta: float    # processing delay between probe and data [s]
-    f_c: float      # carrier frequency [Hz]
-    d_a: float      # antenna separation [m]
-
-    def __post_init__(self):
-        for name in ("v", "delta", "f_c", "d_a"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-
-    @property
-    def wavelength(self) -> float:
-        return SPEED_OF_LIGHT / self.f_c
-
-    @property
-    def mismatch_distance(self) -> float:
-        """|antenna separation - distance driven during the delay|."""
-        return abs(self.d_a - self.v * self.delta)
-
-    @property
-    def alignment_speed(self) -> float:
-        """Speed at which the rear antenna lands on the probed spot [m/s]."""
-        return self.d_a / self.delta
-
-
 def jakes_sigma(d: float, wavelength: float) -> float:
     """Mismatch parameter from Jakes spatial correlation.
 
@@ -88,12 +58,18 @@ def sigma_from_geometry(v: float, delta: float, f_c: float, d_a: float,
                         mapping=None) -> float:
     """sigma for a given drive geometry, clamped to [SIGMA_MIN, 1].
 
-    `mapping(d, wavelength)` converts the mismatch distance to sigma;
-    defaults to the Jakes correlation model.
+    v is the vehicle speed [m/s], delta the processing delay between probe
+    and data [s], f_c the carrier frequency [Hz] and d_a the antenna
+    separation [m]; each must be > 0.  `mapping(d, wavelength)` converts
+    the mismatch distance d = |d_a - v delta| to sigma; defaults to the
+    Jakes correlation model.
     """
-    geom = ChannelGeometry(v=v, delta=delta, f_c=f_c, d_a=d_a)
+    for name, value in (("v", v), ("delta", delta), ("f_c", f_c),
+                        ("d_a", d_a)):
+        if value <= 0:
+            raise ValueError(f"{name} must be > 0")
     fn = jakes_sigma if mapping is None else mapping
-    sigma = fn(geom.mismatch_distance, geom.wavelength)
+    sigma = fn(abs(d_a - v * delta), SPEED_OF_LIGHT / f_c)
     return min(max(sigma, SIGMA_MIN), 1.0)
 
 

@@ -415,10 +415,12 @@ def _no_retx_rows(config, master_seed, p_db, rate):
     seed = _row_seed(master_seed, "nr", rate, p_db)
     coords = dict(figure="mc-verify", rate=rate, round_power=P,
                   n_trials=trials, seed=seed)
+    # outside the error row, as fig4's no-retx row: a rate whose threshold
+    # overflows is a config error
+    ref = no_retx_outage(P, rate)
     rows = []
     with _error_row(rows, coords, check="no_retx_outage"):
         rep = run_no_retx(P, rate, n_trials=trials, seed=seed)
-        ref = no_retx_outage(P, rate)
         rows.append(_z_row("no_retx_outage", ref, rep.outage_rate,
                            _binomial_se(ref, trials), **coords))
     return rows

@@ -32,16 +32,27 @@ class Protocol(enum.Enum):
 
 def theta(rate: float) -> float:
     """SNR decoding threshold e^rate - 1 for a single round."""
-    if rate < 0:
-        raise ValueError(f"rate must be >= 0, got {rate}")
-    return math.expm1(rate)
+    return _threshold(rate, 1.0)
 
 
 def theta1(rate: float) -> float:
     """Jensen-averaged two-round threshold 2 (e^{rate/2} - 1); <= theta."""
-    if rate < 0:
+    return _threshold(rate, 2.0)
+
+
+def _threshold(rate: float, rounds: float) -> float:
+    """rounds (e^{rate/rounds} - 1); ValueError for a negative or NaN rate
+    or one whose threshold overflows a float (rate ~709.8 for theta)."""
+    if not rate >= 0:
         raise ValueError(f"rate must be >= 0, got {rate}")
-    return 2.0 * math.expm1(0.5 * rate)
+    try:
+        th = rounds * math.expm1(rate / rounds)
+    except OverflowError:
+        th = math.inf
+    if th == math.inf:
+        raise ValueError(
+            f"rate {rate} is too large: its SNR threshold overflows")
+    return th
 
 
 @dataclass(frozen=True)
@@ -60,6 +71,7 @@ class HarqConfig:
     def __post_init__(self):
         if self.rate <= 0:
             raise ValueError(f"rate must be > 0, got {self.rate}")
+        theta(self.rate)    # ValueError where e^rate - 1 overflows
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must be in (0, 1), got {self.eps}")
         if self.p1 is not None and self.p1 <= 0:

@@ -33,7 +33,8 @@ class DegenerateConditioningError(PaharqError, RuntimeError):
 
 @dataclass(frozen=True)
 class MCReport:
-    """Aggregated trial statistics with binomial / sample standard errors.
+    """Aggregated trial statistics, with the standard errors of the
+    conditional outage and the average power.
 
     `outage_rate` is unconditional (outage after the final round, over all
     trials); `cond_round2_outage` conditions on entering round two, with
@@ -44,7 +45,6 @@ class MCReport:
     n_trials: int
     seed: int
     outage_rate: float
-    outage_se: float
     cond_round2_outage: float
     cond_round2_se: float
     avg_power: float
@@ -79,8 +79,6 @@ def _outages(x1, x2, protocol: Protocol, rate: float, th: float) -> int:
 
 def _finalize(n_trials, seed, n_round2, n_outage, power_sums, power_sqsums,
               fallback_count=0) -> MCReport:
-    outage = n_outage / n_trials
-    outage_se = math.sqrt(outage * (1.0 - outage) / n_trials)
     if n_round2 > 0:
         cond = n_outage / n_round2
         cond_se = math.sqrt(cond * (1.0 - cond) / n_round2)
@@ -94,7 +92,7 @@ def _finalize(n_trials, seed, n_round2, n_outage, power_sums, power_sqsums,
         var *= n_trials / (n_trials - 1)
     return MCReport(
         n_trials=n_trials, seed=seed,
-        outage_rate=outage, outage_se=outage_se,
+        outage_rate=n_outage / n_trials,
         cond_round2_outage=cond, cond_round2_se=cond_se,
         avg_power=mean, avg_power_se=math.sqrt(var / n_trials),
         n_round2=n_round2, n_outage=n_outage,
@@ -216,7 +214,7 @@ def run_open_loop_conditional(P: float, rate: float, sigma: float,
     se = math.sqrt(zeta * (1.0 - zeta) / n_trials)
     return MCReport(
         n_trials=n_trials, seed=seed,
-        outage_rate=zeta * p_cond, outage_se=se * p_cond,
+        outage_rate=zeta * p_cond,
         cond_round2_outage=zeta, cond_round2_se=se,
         avg_power=math.nan, avg_power_se=math.nan,
         n_round2=n_trials, n_outage=n_out,
@@ -237,11 +235,9 @@ def run_no_retx(P: float, rate: float, n_trials: int = 100_000,
         x1 = sample_g1(rng, size=m)
         x1 *= P
         n_out += np.count_nonzero(x1 < th)
-    outage = n_out / n_trials
-    se = math.sqrt(outage * (1.0 - outage) / n_trials)
     return MCReport(
         n_trials=n_trials, seed=seed,
-        outage_rate=outage, outage_se=se,
+        outage_rate=n_out / n_trials,
         cond_round2_outage=math.nan, cond_round2_se=math.nan,
         avg_power=P, avg_power_se=0.0,
         n_round2=0, n_outage=n_out,

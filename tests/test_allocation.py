@@ -11,7 +11,6 @@ from paharq.allocation import (
     ClosedFormDomainError,
     QuadratureError,
     avg_power_given_p1,
-    avg_power_given_p1_vec,
     c_coefficient,
     closed_form_avg_power,
     m_coefficient,
@@ -130,10 +129,11 @@ class TestVectorObjective:
         c = cfg(protocol=protocol)
         q = qcache.get(1e-3, 0.8, method)
         p1s = np.geomspace(1e-2, 1e4, 7)
-        batch = avg_power_given_p1_vec(p1s, c, 0.8, method, quantile=q)
+        batch = avg_power_given_p1(p1s, c, 0.8, method, quantile=q)
         scalar = [avg_power_given_p1(p1, c, 0.8, method, quantile=q)
                   for p1 in p1s]
-        np.testing.assert_allclose(batch, scalar, rtol=1e-14, atol=0.0)
+        assert all(type(y) is float for y in scalar)
+        np.testing.assert_array_equal(batch, scalar)
 
     @pytest.mark.parametrize("eps", [1e-5, 1e-3, 1e-1])
     @pytest.mark.parametrize("sigma", [0.3, 0.8, 1.0])
@@ -142,7 +142,7 @@ class TestVectorObjective:
         p1s = np.array([1e-2, 1.0, 1e2])
         for protocol in (Protocol.RTD, Protocol.INR):
             c = cfg(protocol=protocol, eps=eps)
-            got = avg_power_given_p1_vec(p1s, c, sigma, quantile=q)
+            got = avg_power_given_p1(p1s, c, sigma, quantile=q)
             for p1, value in zip(p1s, got):
                 assert value == pytest.approx(
                     chndtrix_objective(p1, c, sigma), rel=1e-6)
@@ -152,7 +152,7 @@ class TestVectorObjective:
         c = cfg(protocol=Protocol.INR)
         p1s = np.geomspace(0.1, 1e3, 9)
         assert np.all(c.theta1 / p1s < 50.0)
-        got = avg_power_given_p1_vec(p1s, c, 0.8, QuantileMethod.ASYMPTOTIC)
+        got = avg_power_given_p1(p1s, c, 0.8, QuantileMethod.ASYMPTOTIC)
         for p1, value in zip(p1s, got):
             assert value == pytest.approx(
                 closed_form_avg_power(p1, c, 0.8), rel=1e-9)
@@ -180,8 +180,8 @@ class TestVectorObjective:
 
     def test_rejects_nonpositive_power_in_batch(self):
         with pytest.raises(ValueError):
-            avg_power_given_p1_vec([1.0, -1.0], cfg(), 0.8,
-                                   QuantileMethod.ASYMPTOTIC)
+            avg_power_given_p1([1.0, -1.0], cfg(), 0.8,
+                               QuantileMethod.ASYMPTOTIC)
 
 
 class TestOneInBillionTarget:
@@ -325,8 +325,8 @@ class TestNumericOptimum:
             optimal_p1_numeric(c, 1.0, QuantileMethod.ASYMPTOTIC)
 
     def test_non_finite_average_power(self, monkeypatch):
-        nan = lambda p1s, *args, **kwargs: np.full(len(p1s), np.nan)
-        monkeypatch.setattr(allocation, "avg_power_given_p1_vec", nan)
+        nan = lambda p1, *args, **kwargs: math.nan
+        monkeypatch.setattr(allocation, "avg_power_given_p1", nan)
         with pytest.raises(BracketError, match="not finite"):
             optimal_p1_numeric(cfg(), 0.8, QuantileMethod.ASYMPTOTIC)
 
@@ -353,8 +353,8 @@ class TestSlope:
             slope = 1.0 + allocation._integral(rule, rule.slope,
                                                np.array([p1]), 1.0)[0]
             h = 1e-4 * p1
-            lo, hi = avg_power_given_p1_vec([p1 - h, p1 + h], c, 0.8, method,
-                                            quantile=q)
+            lo, hi = avg_power_given_p1([p1 - h, p1 + h], c, 0.8, method,
+                                        quantile=q)
             assert slope == pytest.approx((hi - lo) / (2.0 * h), abs=1e-6)
 
     def test_integrals_diagnostic_counts_every_power(self, monkeypatch):
@@ -380,7 +380,7 @@ def check_one_grid_minimum(sol, c, sigma, method, quantile=None):
     bound = avg_power_given_p1(anchor, c, sigma, method, quantile=quantile)
     assert sol.p1 <= bound
     ps = np.geomspace(1e-3, bound, 200)
-    ys = avg_power_given_p1_vec(ps, c, sigma, method, quantile=quantile)
+    ys = avg_power_given_p1(ps, c, sigma, method, quantile=quantile)
     minima = np.flatnonzero((ys[1:-1] < ys[:-2]) & (ys[1:-1] < ys[2:])) + 1
     assert minima.size == 1
     assert ps[minima[0] - 1] <= sol.p1 <= ps[minima[0] + 1]
@@ -410,6 +410,44 @@ class TestProvableBracket:
     def test_exact_table(self, qcache, protocol):
         self.check(cfg(protocol, 2.0, 1e-3), 0.8, QuantileMethod.EXACT,
                    quantile=qcache.get(1e-3, 0.8))
+
+
+@pytest.mark.parametrize("protocol", [Protocol.RTD, Protocol.INR])
+def test_numeric_optimum_exists_exactly_in_closed_form_domain(protocol):
+    """With the ASYMPTOTIC quantile the slope of the average power tends,
+    as p1 -> 0, to 1 - sigma^2/|log(1-eps)|, negative exactly inside the
+    closed form's domain.  At rate >= 0.05, theta1/1e-3 >= 50.6 >= G_MAX,
+    so at the 1e-3 floor the slope integral of either protocol runs over
+    all of [0, G_MAX], and what it cuts off weighs at most the integral of
+    g e^-g beyond G_MAX, 51 e^-50 (times 1/(sigma^2 |log(1-eps)|)): the
+    numeric route raises BracketError exactly where the closed form raises
+    ClosedFormDomainError.  Cases within 1e-9 of the domain's edge are
+    skipped."""
+    cases = outside = 0
+    mismatches = []
+    for sigma in (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0):
+        for eps in (1e-6, 1e-4, 1e-2, 0.1, 0.2, 0.3, 0.4, 0.5):
+            ratio = -math.log1p(-eps) / sigma**2
+            if abs(ratio - 1.0) <= 1e-9:
+                continue
+            for rate in (0.05, 0.3, 1.0, 4.0, 20.0):
+                c = cfg(protocol, rate, eps)
+                try:
+                    optimal_p1_closed_form(c, sigma)
+                    closed = True
+                except ClosedFormDomainError:
+                    closed = False
+                try:
+                    optimal_p1_numeric(c, sigma, QuantileMethod.ASYMPTOTIC)
+                    numeric = True
+                except BracketError:
+                    numeric = False
+                cases += 1
+                outside += not closed
+                if closed != numeric:
+                    mismatches.append((sigma, eps, rate))
+    assert mismatches == []
+    assert outside >= cases / 5
 
 
 @pytest.mark.parametrize("sigma", [0.0224, 0.3, 0.8, 1.0])

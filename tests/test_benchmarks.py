@@ -12,9 +12,9 @@ from paharq.benchmarks import (
     open_loop_outage_exact,
     open_loop_required_power,
     open_loop_round_power,
-    zeta_closed_raw,
     zeta_inr_closed,
     zeta_rtd_closed,
+    _zeta_closed_u,
 )
 from paharq.harq import Protocol, theta, theta1
 
@@ -53,7 +53,7 @@ class TestZetaClosed:
             if theta(rate) / P < 0.01:
                 continue
             printed = zeta_rtd_printed_form(P, rate, sigma)
-            assert zeta_closed_raw(P, rate, sigma) == pytest.approx(
+            assert _zeta_closed_u(theta(rate) / P, sigma) == pytest.approx(
                 printed, abs=2e-11)
             checked += 1
 
@@ -119,7 +119,8 @@ class TestZetaClosed:
         for rate in (0.5, 2.0):
             for sigma in (0.5, 0.8, 1.0):
                 for p_db in np.linspace(-10, 40, 26):
-                    raw = zeta_closed_raw(10 ** (p_db / 10), rate, sigma)
+                    raw = _zeta_closed_u(theta(rate) / 10 ** (p_db / 10),
+                                         sigma)
                     worst = max(worst, raw - 1.0, -raw)
         assert worst < 1e-3
 

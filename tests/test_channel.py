@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from paharq.channel import (
     SIGMA_MIN,
     SPEED_OF_LIGHT,
-    ChannelGeometry,
     GainQuantile,
     QuantileMethod,
     cond_cdf_g2,
@@ -31,9 +30,26 @@ class TestSigmaFromGeometry:
         assert sigma_from_geometry(v_star, DELTA, FC, d_a) == SIGMA_MIN
 
     def test_alignment_speed_value(self):
-        geom = ChannelGeometry(v=1.0, delta=DELTA, f_c=FC, d_a=1.5 * WAVELENGTH)
-        v_star_kmh = geom.alignment_speed * 3.6
+        # the mapping hook sees the mismatch |d_a - v delta|, which falls
+        # linearly to zero at the alignment speed
+        d_a = 1.5 * WAVELENGTH
+
+        def mismatch(v_kmh):
+            return sigma_from_geometry(v_kmh / 3.6, DELTA, FC, d_a,
+                                       mapping=lambda d, lam: d)
+        d60, d100 = mismatch(60.0), mismatch(100.0)
+        v_star_kmh = 60.0 + 40.0 * d60 / (d60 - d100)
         assert v_star_kmh == pytest.approx(120.81, abs=0.01)
+        assert sigma_from_geometry(v_star_kmh / 3.6, DELTA, FC, d_a) \
+            == SIGMA_MIN
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    @pytest.mark.parametrize("name", ["v", "delta", "f_c", "d_a"])
+    def test_nonpositive_input_rejected(self, name, value):
+        geometry = dict(v=30.0, delta=DELTA, f_c=FC, d_a=1.5 * WAVELENGTH)
+        geometry[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must be > 0$"):
+            sigma_from_geometry(**geometry)
 
     def test_large_mismatch_weak_correlation(self):
         # several wavelengths of mismatch: sigma near its mapping's maximum

@@ -524,6 +524,33 @@ def test_fig4_rate_past_polynomial_overflow(tmp_path):
     assert no_retx["method"] == "no-retx" and no_retx["error"] == ""
 
 
+@pytest.mark.parametrize("argv,config", [
+    (["fig3"], {"rate": [800.0], "eps": [1e-3]}),
+    (["fig4", "--seed", "1"], {"rate": [800.0], "eps": [1e-3],
+                               "trials": 1000}),
+    (["mc-verify", "--seed", "1"], {"open_loop_rate": [800.0],
+                                    "open_loop_power_db": [10.0],
+                                    "eps": [0.1], "sigma": [1.0],
+                                    "trials": 1000}),
+    (["fig5"], {"v_kmh": [60.0], "d_a_wavelengths": [1.5], "rate": 800.0}),
+    (["mc-verify", "--seed", "1"], {"rate": 800.0, "eps": [0.1],
+                                    "sigma": [1.0], "trials": 1000}),
+    (["eval", "theta", "rate=800"], None),
+], ids=["fig3", "fig4", "mc-verify", "fig5", "mc-verify-closed-loop", "eval"])
+def test_rate_past_threshold_overflow_exits_one(tmp_path, capsys, argv,
+                                                config):
+    # e^rate - 1 overflows a float above rate ~709.8: a config error
+    out = tmp_path / "out.csv"
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: rate 800.0 is too large: its SNR threshold overflows\n")
+    assert not out.exists()
+
+
 def test_library_errors_share_one_base():
     for cls, base in ((paharq.BracketError, RuntimeError),
                       (paharq.QuadratureError, RuntimeError),

@@ -22,6 +22,22 @@ class TestThresholds:
     def test_theta1_below_theta(self, rate):
         assert theta1(rate) <= theta(rate) + 1e-14
 
+    @pytest.mark.parametrize("fn,rate", [(theta, 710.0), (theta, 800.0),
+                                         (theta, math.inf),
+                                         (theta1, 1419.0), (theta1, 1420.0)])
+    def test_overflowing_threshold_rejected(self, fn, rate):
+        with pytest.raises(ValueError, match=f"^rate {rate} is too large"):
+            fn(rate)
+
+    @pytest.mark.parametrize("fn", [theta, theta1])
+    def test_nan_rate_rejected(self, fn):
+        with pytest.raises(ValueError, match="^rate must be >= 0, got nan$"):
+            fn(math.nan)
+
+    def test_largest_rates_keep_finite_thresholds(self):
+        assert math.isfinite(theta(709.0))
+        assert math.isfinite(theta1(1418.0))
+
 
 class TestConfig:
     def test_validation(self):
@@ -31,6 +47,8 @@ class TestConfig:
             HarqConfig(Protocol.RTD, rate=1.0, eps=0.0)
         with pytest.raises(ValueError):
             HarqConfig(Protocol.RTD, rate=1.0, eps=1e-3, p1=-1.0)
+        with pytest.raises(ValueError, match="^rate 800.0 is too large"):
+            HarqConfig(Protocol.INR, rate=800.0, eps=1e-3)  # no threshold
 
     def test_p1_required_for_rules(self):
         cfg = HarqConfig(Protocol.RTD, rate=1.0, eps=1e-3)
