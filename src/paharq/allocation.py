@@ -122,7 +122,7 @@ def avg_power_given_p1(p1, cfg: HarqConfig, sigma: float,
     simulator-side fallback is a separate choice).
     """
     p1s = np.asarray(p1, dtype=float).reshape(-1)
-    if np.any(p1s <= 0):
+    if not np.all(p1s > 0):
         raise ValueError(f"p1 must be > 0, got {p1s.min()}")
     rule = P2Rule(cfg, sigma, method, jensen_fallback=False, quantile=quantile)
     y = p1s + _integral(rule, rule, p1s, p1s)
@@ -176,7 +176,7 @@ def closed_form_avg_power(p1: float, cfg: HarqConfig, sigma: float) -> float:
     p1 + c/m^2 (p1 e^{-m th / p1} - p1 + m th) with th = theta for RTD and
     theta1 for INR.
     """
-    if p1 <= 0:
+    if not p1 > 0:
         raise ValueError(f"p1 must be > 0, got {p1}")
     _check_sigma(sigma)
     m = m_coefficient(sigma)

@@ -22,7 +22,7 @@ class InfeasibleError(PaharqError, RuntimeError):
 def open_loop_avg_power(P: float, rate: float) -> float:
     """Average spent power P (2 - e^{-theta/P}): both rounds cost P and the
     second round happens exactly when round one fails."""
-    if P <= 0:
+    if not P > 0:
         raise ValueError(f"P must be > 0, got {P}")
     return P * (2.0 - math.exp(-theta(rate) / P))
 
@@ -125,7 +125,7 @@ def open_loop_required_power(target_eps: float, rate: float, sigma: float,
 
 def no_retx_outage(P: float, rate: float) -> float:
     """Single-shot outage 1 - e^{-theta/P}."""
-    if P <= 0:
+    if not P > 0:
         raise ValueError(f"P must be > 0, got {P}")
     return -math.expm1(-theta(rate) / P)
 
@@ -139,6 +139,6 @@ def no_retx_required_power(target_eps: float, rate: float) -> float:
 
 
 def _check(P: float, sigma: float) -> None:
-    if P <= 0:
+    if not P > 0:
         raise ValueError(f"P must be > 0, got {P}")
     _check_sigma(sigma)

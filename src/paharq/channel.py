@@ -66,7 +66,7 @@ def sigma_from_geometry(v: float, delta: float, f_c: float, d_a: float,
     """
     for name, value in (("v", v), ("delta", delta), ("f_c", f_c),
                         ("d_a", d_a)):
-        if value <= 0:
+        if not value > 0:
             raise ValueError(f"{name} must be > 0")
     fn = jakes_sigma if mapping is None else mapping
     sigma = fn(abs(d_a - v * delta), SPEED_OF_LIGHT / f_c)
@@ -82,8 +82,10 @@ def cond_cdf_g2(x: float, g1: float, sigma: float) -> float:
     unit-mean exponential CDF 1 - exp(-x).
     """
     _check_sigma(sigma)
-    if g1 < 0:
+    if not g1 >= 0:
         raise ValueError(f"g1 must be >= 0, got {g1}")
+    if math.isnan(x):
+        raise ValueError(f"x must be a number, got {x}")
     if x <= 0.0:
         return 0.0
     s2 = sigma * sigma
@@ -105,7 +107,7 @@ def inv_cond_cdf_g2(eps: float, g1, sigma: float,
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     g = np.asarray(g1, dtype=float)
-    if np.any(g < 0):
+    if not np.all(g >= 0):
         raise ValueError(f"g1 must be >= 0, got {g.min()}")
     # a scalar runs as a one-element array, through the same ufunc loops
     # as an element of an array call

@@ -69,12 +69,12 @@ class HarqConfig:
     p1: float | None = None
 
     def __post_init__(self):
-        if self.rate <= 0:
+        if not self.rate > 0:
             raise ValueError(f"rate must be > 0, got {self.rate}")
         theta(self.rate)    # ValueError where e^rate - 1 overflows
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must be in (0, 1), got {self.eps}")
-        if self.p1 is not None and self.p1 <= 0:
+        if self.p1 is not None and not self.p1 > 0:
             raise ValueError(f"p1 must be > 0, got {self.p1}")
 
     @property
@@ -112,6 +112,8 @@ def _round_two_numerator(protocol: Protocol, cfg: HarqConfig,
 
 def _p2(protocol, g1, cfg, sigma, method, jensen_fallback=True) -> float:
     # pointwise: EXACT divides by the Brent inverse, not a table
+    if not g1 >= 0:
+        raise ValueError(f"g1 must be >= 0, got {g1}")
     num, _ = _round_two_numerator(protocol, cfg, method, g1, _require_p1(cfg),
                                   jensen_fallback)
     if num <= 0.0:

@@ -160,7 +160,7 @@ def run_open_loop(P: float, rate: float, sigma: float, protocol: Protocol,
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    if P <= 0:
+    if not P > 0:
         raise ValueError(f"P must be > 0, got {P}")
     th = theta(rate)
     n_cond = 0
@@ -196,7 +196,7 @@ def run_open_loop_conditional(P: float, rate: float, sigma: float,
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    if P <= 0:
+    if not P > 0:
         raise ValueError(f"P must be > 0, got {P}")
     th = theta(rate)
     p_cond = -math.expm1(-th / P)
@@ -226,7 +226,7 @@ def run_no_retx(P: float, rate: float, n_trials: int = 100_000,
     """Simulate single-shot transmission; outage estimates 1 - e^{-theta/P}."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    if P <= 0:
+    if not P > 0:
         raise ValueError(f"P must be > 0, got {P}")
     th = theta(rate)
     n_out = 0

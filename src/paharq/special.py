@@ -16,8 +16,6 @@ from scipy import optimize, special
 
 _CHUNK = 2048
 _MAX_TERMS = 1 << 21
-# geometric widenings of the inverse's bracket before it gives up
-_MAX_DOUBLINGS = 200
 
 # Quartic parameter polynomials of the stretched-exponential fit
 # Q1(s, rho) ~ exp(-exp(I(s)) * rho**J(s)), constant term first.
@@ -97,7 +95,7 @@ def marcum_q1_weibull(s: float, rho: float) -> float:
     invertible, at the cost of a few percent accuracy.  Result clamped to
     [0, 1].
     """
-    if s < 0 or rho < 0:
+    if not (s >= 0 and rho >= 0):
         raise ValueError(f"arguments must be >= 0, got ({s}, {rho})")
     if rho == 0.0:
         return 1.0
@@ -114,32 +112,24 @@ def weibull_fit_parameters(s):
 
 
 def inv_marcum_q1(s: float, p: float) -> float:
-    """rho such that Q1(s, rho) = p, for p in (0, 1).
+    """rho such that Q1(s, rho) = p, for p in (0, 1), by Brent's method.
 
-    Q1 is strictly decreasing in rho, so a bracket always exists.  The
-    initial bracket comes from the concentration of the Rician envelope
-    around s (width governed by log(1/min(p, 1-p))); it is then widened
-    geometrically if needed and resolved by Brent's method.
+    The bracket [max(s - t, 0), s + t] with m = min(p, 1 - p) and
+    t = sqrt(2 log(2/m)) + 2 always holds the root, by the exponential
+    bounds of Simon and Alouini (IEEE Trans. Commun. 48(3), 2000):
+    Q1(s, s + t) <= exp(-t^2/2) < m/2 <= p/2, and for s > t
+    Q1(s, s - t) >= 1 - exp(-t^2/2)/2 > p; otherwise the bracket starts at
+    Q1(s, 0) = 1.  brentq takes the bracket as it is, and its own sign
+    check is the safety net.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
-    if s < 0:
+    if not s >= 0:
         raise ValueError(f"s must be >= 0, got {s}")
     t = math.sqrt(2.0 * math.log(2.0 / min(p, 1.0 - p))) + 2.0
-    lo = max(s - t, 0.0)
-    hi = s + t
-    f = lambda rho: marcum_q1(s, rho) - p
-    if f(lo) < 0.0:
-        lo = 0.0
-    n = 0
-    while f(hi) > 0.0:
-        hi = 2.0 * hi + 1.0
-        n += 1
-        if n > _MAX_DOUBLINGS:
-            raise RuntimeError(
-                f"bracket for inv_marcum_q1(s={s}, p={p}) did not close")
-    rho = optimize.brentq(f, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps,
-                          maxiter=200)
+    rho = optimize.brentq(lambda rho: marcum_q1(s, rho) - p,
+                          max(s - t, 0.0), s + t, xtol=1e-300,
+                          rtol=4 * np.finfo(float).eps, maxiter=200)
     return float(rho)
 
 
@@ -151,6 +141,8 @@ def inv_marcum_q1_asymptotic(s: float, eps: float) -> float:
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
+    if not s >= 0:
+        raise ValueError(f"s must be >= 0, got {s}")
     return math.sqrt(-2.0 * math.log1p(-eps)) * math.exp(0.25 * s * s)
 
 
@@ -185,7 +177,7 @@ def _halley(w: float, x: float) -> float:
 
 def _lambert_w0(x: float) -> float:
     branch_point = -math.exp(-1.0)
-    if x < branch_point:
+    if not x >= branch_point:
         raise ValueError(f"principal branch needs x >= -1/e, got {x}")
     if x == branch_point:
         return -1.0

@@ -4,8 +4,10 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import special as sp_special
 
 from paharq.channel import (
+    QUANTILE_KNOTS,
     SIGMA_MIN,
     SPEED_OF_LIGHT,
     GainQuantile,
@@ -43,7 +45,7 @@ class TestSigmaFromGeometry:
         assert sigma_from_geometry(v_star_kmh / 3.6, DELTA, FC, d_a) \
             == SIGMA_MIN
 
-    @pytest.mark.parametrize("value", [0.0, -1.0])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
     @pytest.mark.parametrize("name", ["v", "delta", "f_c", "d_a"])
     def test_nonpositive_input_rejected(self, name, value):
         geometry = dict(v=30.0, delta=DELTA, f_c=FC, d_a=1.5 * WAVELENGTH)
@@ -75,6 +77,12 @@ class TestConditionalCdf:
 
     def test_zero_at_origin(self):
         assert cond_cdf_g2(0.0, 1.0, 0.8) == 0.0
+
+    @pytest.mark.parametrize("x,g1,message", [(math.nan, 1.0, "x must be"),
+                                              (0.1, math.nan, "g1 must be")])
+    def test_rejects_nan(self, x, g1, message):
+        with pytest.raises(ValueError, match=message):
+            cond_cdf_g2(x, g1, 0.8)
 
     def test_small_lower_tail_keeps_relative_accuracy(self):
         # P(g2 <= x | g1) ~ (x / sigma^2) exp(-g1 (1 - sigma^2) / sigma^2) as
@@ -168,6 +176,11 @@ class TestInverseConditionalCdf:
             x = inv_cond_cdf_g2(1e-3, [0.1, 50.0], 0.0224, method)
         assert np.isfinite(x[0]) and x[-1] == np.inf
 
+    @pytest.mark.parametrize("method", list(QuantileMethod))
+    def test_rejects_nan_gain(self, method):
+        with pytest.raises(ValueError, match="g1 must be >= 0"):
+            inv_cond_cdf_g2(1e-3, np.array([1.0, math.nan]), 0.8, method)
+
     def test_rejects_negative_gain_in_array(self):
         with pytest.raises(ValueError):
             inv_cond_cdf_g2(1e-3, np.array([1.0, -1e-3]), 0.8,
@@ -182,6 +195,21 @@ class TestGainQuantile:
         for g1 in (0.0, 1e-6, 0.2, 1.0, 7.0, 45.0):
             direct = inv_cond_cdf_g2(1e-3, g1, 0.8, QuantileMethod.EXACT)
             assert float(q(g1)) == pytest.approx(direct, rel=3e-5)
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5])
+    def test_between_knots_against_chndtrix(self, qcache, eps):
+        # scipy's noncentral chi-square inverse as an independent reference,
+        # at the geometric midpoint of every knot interval, where the
+        # monotone cubic is furthest from its data; the bound is one order
+        # above the table's stated ~1e-5 resolution
+        sigma = 0.8
+        s2 = sigma * sigma
+        mid = np.sqrt(QUANTILE_KNOTS[1:] * QUANTILE_KNOTS[:-1])
+        ref = 0.5 * s2 * sp_special.chndtrix(eps, 2.0,
+                                             2.0 * mid * (1.0 - s2) / s2)
+        assert mid.size == 512
+        np.testing.assert_allclose(qcache.get(eps, sigma)(mid), ref,
+                                   rtol=1e-4, atol=0.0)
 
     def test_table_roundtrip_through_cdf(self, qcache):
         q = qcache.get(1e-2, 0.5)

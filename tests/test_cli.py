@@ -452,6 +452,30 @@ def test_eval_usage_errors_exit_one(argv, capsys):
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["avg-power-given-p1", "p1=nan", "protocol=rtd", "rate=2", "eps=1e-3",
+     "sigma=0.8"],
+    ["closed-form-avg-power", "p1=nan", "protocol=rtd", "rate=2", "eps=1e-3",
+     "sigma=0.8"],
+    ["sigma-from-geometry", "v=nan", "delta=5e-3", "f_c=2.68e9", "d_a=0.1"],
+    ["open-loop-avg-power", "P=nan", "rate=1"],
+    ["zeta-rtd-closed", "P=nan", "rate=1", "sigma=0.8"],
+    ["zeta-inr-closed", "P=nan", "rate=1", "sigma=0.8"],
+    ["no-retx-outage", "P=nan", "rate=1"],
+    ["open-loop-outage-exact", "P=nan", "rate=1", "sigma=0.8"],
+    ["cond-cdf-g2", "x=nan", "g1=1", "sigma=0.8"],
+    ["lambert-w", "x=nan"],
+    ["p2-rtd", "g1=0.5", "rate=2", "eps=1e-2", "p1=nan", "sigma=0.8"],
+], ids=lambda argv: argv[0])
+def test_eval_nan_input_exits_one(argv, capsys):
+    # a NaN power or geometry is a usage error, not a nan estimate
+    assert main(["eval", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+
+
 @pytest.mark.parametrize("argv,message", [
     (["open-loop-required-power", "target_eps=0.9999999", "rate=0.1",
       "sigma=0.8"], "unreachable"),               # InfeasibleError

@@ -50,6 +50,18 @@ class TestConfig:
         with pytest.raises(ValueError, match="^rate 800.0 is too large"):
             HarqConfig(Protocol.INR, rate=800.0, eps=1e-3)  # no threshold
 
+    @pytest.mark.parametrize("field", ["rate", "eps", "p1"])
+    def test_nan_field_rejected(self, field):
+        values = dict(rate=1.0, eps=1e-3, p1=1.0)
+        values[field] = math.nan
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            HarqConfig(Protocol.RTD, **values)
+
+    def test_nan_gain_rejected_by_pointwise_rules(self):
+        cfg = HarqConfig(Protocol.RTD, rate=1.0, eps=1e-3, p1=1.0)
+        with pytest.raises(ValueError, match="^g1 must be >= 0"):
+            p2_rtd(math.nan, cfg, 0.8)
+
     def test_p1_required_for_rules(self):
         cfg = HarqConfig(Protocol.RTD, rate=1.0, eps=1e-3)
         with pytest.raises(ValueError):

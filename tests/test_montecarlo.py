@@ -263,6 +263,18 @@ class TestOpenLoop:
             run_open_loop(1e6, 0.5, 0.8, Protocol.RTD, n_trials=50_000, seed=15)
 
 
+@pytest.mark.parametrize("run", [
+    lambda P: run_open_loop(P, 1.0, 0.8, Protocol.RTD, n_trials=10),
+    lambda P: run_open_loop_conditional(P, 1.0, 0.8, Protocol.RTD,
+                                        n_trials=10),
+    lambda P: run_no_retx(P, 1.0, n_trials=10),
+], ids=["open-loop", "open-loop-conditional", "no-retx"])
+@pytest.mark.parametrize("P", [0.0, math.nan])
+def test_power_must_be_positive(run, P):
+    with pytest.raises(ValueError, match="^P must be > 0"):
+        run(P)
+
+
 class TestOpenLoopConditional:
     def test_matches_rejection_estimator(self):
         # same conditional law as the rejection route

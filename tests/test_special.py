@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from scipy import integrate, special as sp
 from scipy.stats import ncx2
 
+from paharq import special
 from paharq.special import (
     bessel_i,
     inv_marcum_q1,
@@ -14,6 +15,11 @@ from paharq.special import (
     marcum_q1,
     marcum_q1_weibull,
 )
+
+# outage-scale tails, the median and near-certain quantiles up to two ulps
+# below 1
+_BRACKET_PS = [1e-300, 1e-12, 1e-6, 1e-3, 0.5, 1.0 - 1e-3, 1.0 - 1e-9,
+               1.0 - 2.0**-52]
 
 
 def marcum_q1_quadrature(s: float, rho: float) -> float:
@@ -128,6 +134,11 @@ class TestMarcumWeibullFit:
     def test_stays_in_unit_interval(self, s, rho):
         assert 0.0 <= marcum_q1_weibull(s, rho) <= 1.0
 
+    def test_rejects_nan(self):
+        for s, rho in ((math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(ValueError):
+                marcum_q1_weibull(s, rho)
+
 
 class TestInverseMarcum:
     def test_rayleigh_inverse(self):
@@ -154,8 +165,40 @@ class TestInverseMarcum:
         with pytest.raises(ValueError):
             inv_marcum_q1(1.0, 1.0)
 
+    def test_rejects_nan_s(self):
+        with pytest.raises(ValueError, match="s must be >= 0"):
+            inv_marcum_q1(math.nan, 0.5)
+
+    @pytest.mark.parametrize("p", _BRACKET_PS)
+    def test_first_bracket_holds_the_root(self, p):
+        # the Simon-Alouini bounds the docstring cites, checked in floats:
+        # Q1 is above p at the low end and below it at the high end
+        t = math.sqrt(2.0 * math.log(2.0 / min(p, 1.0 - p))) + 2.0
+        for s in np.concatenate(([0.0], np.geomspace(1e-6, 3e3, 60))):
+            s = float(s)
+            assert marcum_q1(s, max(s - t, 0.0)) > p
+            assert marcum_q1(s, s + t) < p
+
+    @pytest.mark.parametrize("s,p", [(0.0, 0.5), (0.3, 1e-3), (2.0, 0.999),
+                                     (40.0, 1.0 - 1e-9), (3e3, 1e-12)])
+    def test_no_rho_evaluated_twice(self, monkeypatch, s, p):
+        seen = []
+
+        def recording(s, rho):
+            seen.append(rho)
+            return marcum_q1(s, rho)
+
+        monkeypatch.setattr(special, "marcum_q1", recording)
+        rho = inv_marcum_q1(s, p)
+        assert rho in seen
+        assert len(seen) == len(set(seen))
+
 
 class TestInverseMarcumAsymptotic:
+    def test_rejects_nan_s(self):
+        with pytest.raises(ValueError, match="s must be >= 0"):
+            inv_marcum_q1_asymptotic(math.nan, 1e-3)
+
     def test_exact_at_s_zero(self):
         assert inv_marcum_q1_asymptotic(0.0, 1.0 - math.exp(-2.0)) == \
             pytest.approx(2.0, rel=1e-12)
@@ -237,3 +280,6 @@ class TestLambertW:
             lambert_w(0.1, branch=-1)
         with pytest.raises(ValueError):
             lambert_w(0.1, branch=2)
+        for branch in (0, -1):
+            with pytest.raises(ValueError):
+                lambert_w(math.nan, branch=branch)
