@@ -81,7 +81,8 @@ def open_loop_outage_exact(P: float, rate: float, sigma: float,
     RTD integrates P(g2 < theta/P - g1 | g1); INR integrates the
     mutual-information condition P(g2 < (theta - g1 P) / ((1 + g1 P) P) | g1).
     Reference implementation for validating both the closed forms and the
-    simulator.
+    simulator.  The integral stops at min(theta/P, 745), where e^{-g1}
+    underflows; on a longer range quad would miss the mass near 0.
     """
     _check(P, sigma)
     u = theta(rate) / P
@@ -90,7 +91,8 @@ def open_loop_outage_exact(P: float, rate: float, sigma: float,
     else:
         arg = lambda x: (theta(rate) - x * P) / ((1.0 + x * P) * P)
     f = lambda x: math.exp(-x) * cond_cdf_g2(arg(x), x, sigma)
-    val, _ = integrate.quad(f, 0.0, u, epsabs=1e-14, epsrel=1e-11, limit=300)
+    val, _ = integrate.quad(f, 0.0, min(u, 745.0), epsabs=1e-14, epsrel=1e-11,
+                            limit=300)
     return val / (-math.expm1(-u))
 
 

@@ -121,6 +121,11 @@ def inv_cond_cdf_g2(eps: float, g1, sigma: float,
     else:
         s = np.sqrt(2.0 * g * (1.0 - s2)) / sigma
         if method is QuantileMethod.EXACT:
+            # the Marcum tail is inverted at p = 1 - eps, which rounds to 1
+            # for eps <= 2**-54
+            if 1.0 - eps == 1.0:
+                raise ValueError(f"the exact quantile needs eps > 2**-54 "
+                                 f"(~5.55e-17), got eps={eps}")
             rho = np.array([inv_marcum_q1(si, 1.0 - eps) for si in s.tolist()])
             x = 0.5 * s2 * rho * rho
         elif method is QuantileMethod.WEIBULL:

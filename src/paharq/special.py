@@ -5,7 +5,9 @@ noncentral chi-square with two degrees of freedom, so everything here
 revolves around the first-order Marcum Q function: a stable series
 evaluation, a stretched-exponential (Weibull-type) fit with polynomial
 parameters, numeric and asymptotic inverses, and the two real branches of
-the Lambert W function used by the closed-form power optimum.  A checked
+the Lambert W function used by the closed-form power optimum.  scipy gives
+the principal branch; the lower branch, which the optimum needs near the
+branch point -1/e where scipy's is off, is hand-written.  A checked
 modified Bessel I_n is kept beside them; nothing numerical calls it.
 """
 
@@ -27,23 +29,36 @@ def bessel_i(n: int, x: float) -> float:
     """Modified Bessel function of the first kind, integer order n >= 0.
 
     scipy's I_n with argument checks; raises OverflowError once I_n(x)
-    exceeds the float range.  No numerical path of the package uses it.
+    exceeds the float range.  Below x = 1e-8 the series' second term is
+    under 2.5e-17 of the first, so the leading term (x/2)^n/n! is returned:
+    scipy 1.17.1 gives nan there for subnormal x and 0 for n >= 1 long
+    before I_n(x) underflows (I_1 below x ~ 1e-154).  No numerical path of
+    the package uses it.
     """
     if n < 0 or not isinstance(n, (int, np.integer)):
         raise ValueError(f"order must be a nonnegative integer, got {n!r}")
     if x < 0 or not math.isfinite(x):
         raise ValueError(f"argument must be finite and >= 0, got {x!r}")
+    if x < 1e-8:
+        term = 1.0
+        for k in range(1, n + 1):
+            term *= 0.5 * x / k
+            if term == 0.0:
+                break
+        return term
     value = float(special.iv(n, x))
     if not math.isfinite(value):
         raise OverflowError(f"bessel_i({n}, {x}) exceeds float range")
     return value
 
 
-def _scaled_series(ratio: float, z: float, k_start: int) -> float:
+def _scaled_series(ratio: float, z: float, k_start: int) -> float | None:
     """Sum of ratio**k * e^{-z} I_k(z) for k >= k_start, ratio <= 1.
 
     Terms are positive and eventually decay geometrically; summation stops
     once a chunk's last term falls below 1e-16 of the running total.
+    Returns None if that takes more than _MAX_TERMS terms (or ive has no
+    value, as at z > ~1.07e9).
     """
     total = 0.0
     k0 = k_start
@@ -58,7 +73,7 @@ def _scaled_series(ratio: float, z: float, k_start: int) -> float:
         if terms[-1] < 1e-16 * max(total, 1e-300):
             return total
         k0 += _CHUNK
-    raise RuntimeError(f"series did not converge (ratio={ratio}, z={z})")
+    return None
 
 
 def marcum_q1(s: float, rho: float) -> float:
@@ -80,12 +95,12 @@ def marcum_q1(s: float, rho: float) -> float:
     log_pref = -0.5 * (s - rho) ** 2
     if log_pref < -746.0:  # prefactor underflows; the tail is 0 or 1
         return 0.0 if rho > s else 1.0
-    pref = math.exp(log_pref)
-    if rho > s:
-        q = pref * _scaled_series(s / rho, z, 0)
-    else:
-        q = 1.0 - pref * _scaled_series(rho / s, z, 1)
-    return min(max(q, 0.0), 1.0)
+    upper = rho > s
+    total = _scaled_series(s / rho if upper else rho / s, z, 0 if upper else 1)
+    if total is None:
+        raise ValueError(f"Q1 series did not converge at s={s}, rho={rho}")
+    q = math.exp(log_pref) * total
+    return min(max(q if upper else 1.0 - q, 0.0), 1.0)
 
 
 def marcum_q1_weibull(s: float, rho: float) -> float:
@@ -149,54 +164,20 @@ def inv_marcum_q1_asymptotic(s: float, eps: float) -> float:
 def lambert_w(x: float, branch: int = 0) -> float:
     """Real Lambert W: solves w * exp(w) = x on the requested branch.
 
-    branch 0 is the principal branch (x >= -1/e); branch -1 is the lower
-    branch (-1/e <= x < 0, w <= -1).  Halley iteration from a series or
-    asymptotic starting point; residual |w e^w - x| <= 1e-12 max(1, |x|).
+    branch 0 is the principal branch (x >= -1/e), scipy's lambertw;
+    branch -1 is the lower branch (-1/e <= x < 0, w <= -1), Halley
+    iteration from a series or asymptotic start, since scipy's k=-1 is
+    off by 2.3e-6 relative at -1/e + 1e-12.  Residual
+    |w e^w - x| <= 1e-12 max(1, |x|) on both.
     """
+    branch_point = -math.exp(-1.0)
     if branch == 0:
-        return _lambert_w0(x)
-    if branch == -1:
-        return _lambert_wm1(x)
-    raise ValueError(f"branch must be 0 or -1, got {branch}")
-
-
-def _halley(w: float, x: float) -> float:
-    eps = np.finfo(float).eps
-    for _ in range(80):
-        e = math.exp(w)
-        r = w * e - x
-        if r == 0.0:
-            break
-        w1 = w + 1.0
-        dw = r / (e * w1 - (w + 2.0) * r / (2.0 * w1))
-        w -= dw
-        if abs(dw) <= 4.0 * eps * abs(w):
-            break
-    return w
-
-
-def _lambert_w0(x: float) -> float:
-    branch_point = -math.exp(-1.0)
-    if not x >= branch_point:
-        raise ValueError(f"principal branch needs x >= -1/e, got {x}")
-    if x == branch_point:
-        return -1.0
-    if x == 0.0:
-        return 0.0
-    if abs(x) < 1e-3:
-        w = x * (1.0 - x + 1.5 * x * x)
-    elif x < 0.0:
-        p = math.sqrt(2.0 * (1.0 + math.e * x))
-        w = -1.0 + p - p * p / 3.0
-    else:
-        w = math.log1p(x)
-        if w > 1.0:
-            w -= math.log(w)
-    return _halley(w, x)
-
-
-def _lambert_wm1(x: float) -> float:
-    branch_point = -math.exp(-1.0)
+        if not x >= branch_point:
+            raise ValueError(f"principal branch needs x >= -1/e, got {x}")
+        # scipy 1.17.1 returns nan at the branch point itself
+        return -1.0 if x == branch_point else float(special.lambertw(x).real)
+    if branch != -1:
+        raise ValueError(f"branch must be 0 or -1, got {branch}")
     if not branch_point <= x < 0.0:
         raise ValueError(f"lower branch needs -1/e <= x < 0, got {x}")
     if x == branch_point:
@@ -209,5 +190,15 @@ def _lambert_wm1(x: float) -> float:
         log_mx = math.log(-x)
         log_mlog = math.log(-log_mx)
         w = log_mx - log_mlog + log_mlog / log_mx
-    w = _halley(w, x)
+    eps = np.finfo(float).eps
+    for _ in range(80):
+        e = math.exp(w)
+        r = w * e - x
+        if r == 0.0:
+            break
+        w1 = w + 1.0
+        dw = r / (e * w1 - (w + 2.0) * r / (2.0 * w1))
+        w -= dw
+        if abs(dw) <= 4.0 * eps * abs(w):
+            break
     return min(w, -1.0)

@@ -90,6 +90,15 @@ class TestZetaClosed:
         assert z == pytest.approx(0.64 * (2.0 - 0.64), rel=1e-6)
         assert open_loop_outage_exact(0.05, 2.0, 0.8) > 0.999
 
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    @pytest.mark.parametrize("u", [1e4, 1e5, 1e6])
+    def test_exact_is_one_at_large_threshold_ratio(self, protocol, u):
+        # a retransmission at theta/P >= 1e4 almost surely fails too; the
+        # quadrature must find the e^-g1 mass near 0, not lose it in [0, u]
+        P = theta(2.0) / u
+        assert open_loop_outage_exact(P, 2.0, 0.8, protocol) == pytest.approx(
+            1.0, abs=1e-12)
+
     def test_inr_is_rtd_at_jensen_threshold(self):
         P, rate, sigma = 30.0, 2.0, 0.8
         u1 = theta1(rate) / P

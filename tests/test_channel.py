@@ -151,6 +151,14 @@ class TestInverseConditionalCdf:
         rho = math.sqrt(2.0 * x) / sigma
         assert 1.0 - marcum_q1_weibull(s, rho) == pytest.approx(eps, rel=1e-9)
 
+    def test_exact_names_the_eps_floor(self):
+        # p = 1 - eps rounds to 1 below 2**-54; just above it, to 1 - 2**-53
+        with pytest.raises(ValueError, match=r"eps > 2\*\*-54.*eps=1e-300"):
+            inv_cond_cdf_g2(1e-300, 1.0, 0.8)
+        with pytest.raises(ValueError, match="eps > 2"):
+            inv_cond_cdf_g2(2.0**-54, 1.0, 0.8)
+        assert inv_cond_cdf_g2(2.0**-54 * (1 + 2**-52), 1.0, 0.8) > 0.0
+
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):
             inv_cond_cdf_g2(0.0, 1.0, 0.8)

@@ -477,6 +477,21 @@ def test_eval_nan_input_exits_one(argv, capsys):
 
 
 @pytest.mark.parametrize("argv,message", [
+    (["marcum-q1", "s=1e5", "rho=1e5"], "s=100000.0, rho=100000.0"),
+    (["marcum-q1", "s=1e300", "rho=1e300"], "s=1e+300, rho=1e+300"),
+    (["inv-cond-cdf-g2", "eps=1e-300", "g1=1", "sigma=0.8"],
+     "eps > 2**-54"),
+])
+def test_eval_input_without_float_value_exits_one(argv, message, capsys):
+    # the Q1 series does not converge, or 1 - eps rounds to 1
+    assert main(["eval", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("argv,message", [
     (["open-loop-required-power", "target_eps=0.9999999", "rate=0.1",
       "sigma=0.8"], "unreachable"),               # InfeasibleError
     (["optimal-p1-closed-form", "protocol=rtd", "rate=2", "eps=0.5",

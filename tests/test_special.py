@@ -1,4 +1,6 @@
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -50,6 +52,15 @@ class TestBesselI:
     @pytest.mark.parametrize("x", [0.1, 1.0, 10.0, 59.0, 61.0, 200.0, 700.0])
     def test_against_scipy(self, n, x):
         assert bessel_i(n, x) == pytest.approx(float(sp.iv(n, x)), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7])
+    @pytest.mark.parametrize("x", [5e-324, 1e-310, 1.1125369292536007e-308,
+                                   1e-154, 1e-9])
+    def test_tiny_argument_is_the_leading_term(self, n, x):
+        # scipy's iv gives nan at subnormal x and 0 at I_1(1e-154); there
+        # I_n(x) is (x/2)^n/n! to the last bit, here computed exactly
+        lead = float(Fraction(x) ** n / (2**n * math.factorial(n)))
+        assert bessel_i(n, x) == pytest.approx(lead, rel=1e-15, abs=0.0)
 
     def test_overflow_signalled(self):
         with pytest.raises(OverflowError):
@@ -108,6 +119,12 @@ class TestMarcumQ1:
            st.floats(min_value=1e-3, max_value=2.0))
     def test_monotone_increasing_in_s(self, s, rho, ds):
         assert marcum_q1(s + ds, rho) >= marcum_q1(s, rho) - 1e-12
+
+    @pytest.mark.parametrize("s", [1e5, 1e300])
+    def test_unconverged_series_is_a_value_error(self, s):
+        # scipy's ive has no value at s * rho above ~1.07e9
+        with pytest.raises(ValueError, match=re.escape(f"s={s}, rho={s}")):
+            marcum_q1(s, s)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -270,6 +287,15 @@ class TestLambertW:
         with mpmath.workdps(50):
             ref = float(mpmath.lambertw(mpmath.mpf(x), -1))
         assert lambert_w(x, branch=-1) == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("delta", [1e-12, 1e-10, 1e-8])
+    def test_principal_branch_near_branch_point_against_mpmath(self, delta):
+        # scipy's principal branch is weakest next to -1/e
+        mpmath = pytest.importorskip("mpmath")
+        x = -1.0 / math.e + delta
+        with mpmath.workdps(50):
+            ref = float(mpmath.lambertw(mpmath.mpf(x)))
+        assert lambert_w(x) == pytest.approx(ref, rel=1e-8)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
