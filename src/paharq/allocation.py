@@ -136,16 +136,14 @@ def _integral(rule: P2Rule, integrand, p1s: np.ndarray, base) -> np.ndarray:
     A 7/15-point Gauss-Kronrod rule on fixed panels (_EDGES: 0, halvings of
     the first table knot, then the exact quantile table's knots), clipped
     at each power's upper limit, so no panel straddles a knot of the
-    piecewise-cubic table; for INR with the ASYMPTOTIC method one more edge
-    sits at the Jensen numerator's kink theta1/p1.  The summed
+    piecewise-cubic table; where the rule's numerator is INR's Jensen one,
+    one more edge sits at its kink theta1/p1.  The summed
     |Kronrod - Gauss| panel differences are the error estimate;
     QuadratureError if it exceeds 1e-6 max(|value|, base) at any power.
     """
-    cfg, method = rule.cfg, rule.method
+    cfg = rule.cfg
     g_hi = np.minimum(cfg.theta / p1s, G_MAX)
-    split = g_hi
-    if cfg.protocol is Protocol.INR and method is QuantileMethod.ASYMPTOTIC:
-        split = np.minimum(cfg.theta1 / p1s, g_hi)
+    split = np.minimum(cfg.theta1 / p1s, g_hi) if rule.jensen else g_hi
     val = np.empty(p1s.size)
     err = np.empty(p1s.size)
     for i in range(p1s.size):
@@ -166,7 +164,7 @@ def _integral(rule: P2Rule, integrand, p1s: np.ndarray, base) -> np.ndarray:
         raise QuadratureError(
             f"integral error estimate {err[i]:.3g} too large for value "
             f"{val[i]:.6g} (p1={p1s[i]:.6g}, sigma={rule.sigma}, "
-            f"method={method.value})")
+            f"method={rule.method.value})")
     return val
 
 

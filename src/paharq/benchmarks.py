@@ -100,9 +100,9 @@ def open_loop_round_power(target_eps: float, rate: float, sigma: float,
                           protocol: Protocol = Protocol.RTD) -> float:
     """Per-round power P with closed-form outage equal to target_eps.
 
-    The closed form is monotone decreasing in P; bisection on log P to
-    0.001 dB.  Raises InfeasibleError when the target is below the outage
-    floor at 1e12 or above the saturation value at 1e-6.
+    The closed form is monotone decreasing in P; Brent's method (brentq)
+    on log P to 0.001 dB.  Raises InfeasibleError when the target is below
+    the outage floor at 1e12 or above the saturation value at 1e-6.
     """
     if not 0.0 < target_eps < 1.0:
         raise ValueError(f"target_eps must be in (0, 1), got {target_eps}")
@@ -134,9 +134,11 @@ def no_retx_outage(P: float, rate: float) -> float:
 
 def no_retx_required_power(target_eps: float, rate: float) -> float:
     """Power meeting the outage target without retransmission:
-    theta / (-log(1 - eps))."""
+    theta / (-log(1 - eps)), for a rate > 0."""
     if not 0.0 < target_eps < 1.0:
         raise ValueError(f"target_eps must be in (0, 1), got {target_eps}")
+    if not rate > 0:
+        raise ValueError(f"rate must be > 0, got {rate}")
     return theta(rate) / (-math.log1p(-target_eps))
 
 

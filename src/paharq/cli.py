@@ -71,6 +71,7 @@ from .channel import (
 )
 from .harq import HarqConfig, PaharqError, Protocol
 from .montecarlo import (
+    DegenerateConditioningError,
     run_closed_loop,
     run_no_retx,
     run_open_loop,
@@ -354,6 +355,10 @@ def _closed_loop_rows(config, master_seed, protocol_name, eps, sigma):
         rep = run_closed_loop(cfg, sigma, QuantileMethod.EXACT,
                               n_trials=trials, seed=coords["seed"],
                               quantile=quantile)
+        if rep.n_round2 == 0:
+            raise DegenerateConditioningError(
+                f"no trial of {trials} entered round two (p1={p1:.6g}, "
+                f"rate={rate}); conditional estimate unusable")
         rows.append(_z_row(
             "closed_loop_conditional_outage", eps, rep.cond_round2_outage,
             _binomial_se(eps, rep.n_round2), method="exact",
@@ -612,6 +617,8 @@ def main(argv=None) -> int:
             rows = run_eval(args.op, args.assignments)
         else:
             flags, grid = _COMMANDS[args.command]
+            if args.workers < 1:
+                parser.error(f"--workers must be >= 1, got {args.workers}")
             overrides = {"trials": getattr(args, "trials", None)}
             if getattr(args, "method", None):
                 overrides["methods"] = _METHOD_FLAG[args.method]

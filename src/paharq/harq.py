@@ -86,15 +86,14 @@ class HarqConfig:
         return theta1(self.rate)
 
 
-def _round_two_numerator(protocol: Protocol, cfg: HarqConfig,
-                         method: QuantileMethod, g1, p1,
-                         jensen_fallback: bool = True):
+def _round_two_numerator(protocol: Protocol, cfg: HarqConfig, jensen: bool,
+                         g1, p1, jensen_fallback: bool = True):
     """Numerator of P2 = numerator / quantile (p2_rtd and p2_inr give the
     formulas), and the mask of failed round-one points where INR's Jensen
-    numerator is nonpositive (all False unless INR with ASYMPTOTIC).  There
-    the exact numerator stands in if `jensen_fallback` (the transmitter must
-    still spend power); zero is the convention the closed forms integrate.
-    g1 and p1 broadcast.
+    numerator, used when `jensen`, is nonpositive (all False otherwise).
+    There the exact numerator stands in if `jensen_fallback` (the
+    transmitter must still spend power); zero is the convention the closed
+    forms integrate.  g1 and p1 broadcast.
     """
     gap = cfg.theta - g1 * p1
     failed = gap > 0.0
@@ -102,7 +101,7 @@ def _round_two_numerator(protocol: Protocol, cfg: HarqConfig,
     if protocol is Protocol.RTD:
         return np.where(failed, gap, 0.0), fallback
     num = np.where(failed, gap / (1.0 + g1 * p1), 0.0)
-    if method is QuantileMethod.ASYMPTOTIC:
+    if jensen:
         jensen = cfg.theta1 - g1 * p1
         fallback = failed & (jensen <= 0.0)
         jensen = np.where(failed & ~fallback, jensen, 0.0)
@@ -110,11 +109,11 @@ def _round_two_numerator(protocol: Protocol, cfg: HarqConfig,
     return num, fallback
 
 
-def _p2(protocol, g1, cfg, sigma, method, jensen_fallback=True) -> float:
+def _p2(protocol, jensen, g1, cfg, sigma, method, jensen_fallback=True):
     # pointwise: EXACT divides by the Brent inverse, not a table
     if not g1 >= 0:
         raise ValueError(f"g1 must be >= 0, got {g1}")
-    num, _ = _round_two_numerator(protocol, cfg, method, g1, _require_p1(cfg),
+    num, _ = _round_two_numerator(protocol, cfg, jensen, g1, _require_p1(cfg),
                                   jensen_fallback)
     if num <= 0.0:
         return 0.0
@@ -128,7 +127,7 @@ def p2_rtd(g1: float, cfg: HarqConfig, sigma: float,
     With the ASYMPTOTIC quantile this is the closed-form rule
     (theta - g1 p1) exp(-g1 (1-sigma^2)/sigma^2) / (-sigma^2 log(1-eps)).
     """
-    return _p2(Protocol.RTD, g1, cfg, sigma, method)
+    return _p2(Protocol.RTD, False, g1, cfg, sigma, method)
 
 
 def p2_inr(g1: float, cfg: HarqConfig, sigma: float,
@@ -142,7 +141,8 @@ def p2_inr(g1: float, cfg: HarqConfig, sigma: float,
     numerator is substituted if `jensen_fallback` is set, and zero is kept
     otherwise.
     """
-    return _p2(Protocol.INR, g1, cfg, sigma, method, jensen_fallback)
+    return _p2(Protocol.INR, method is QuantileMethod.ASYMPTOTIC, g1, cfg,
+               sigma, method, jensen_fallback)
 
 
 class P2Rule:
@@ -152,6 +152,9 @@ class P2Rule:
     one table.  `jensen_fallback` mirrors p2_inr.  The round-one power is
     cfg.p1 unless a call passes its own (possibly an array broadcasting
     against g1), so one rule serves every power of an optimization.
+    `jensen` is True exactly when the numerator is INR's Jensen numerator,
+    that is for INR with the ASYMPTOTIC quantile; the slope, the
+    quadrature's kink edge and the simulator's fallback count read it.
     """
 
     def __init__(self, cfg: HarqConfig, sigma: float,
@@ -166,20 +169,24 @@ class P2Rule:
         self.cfg = cfg
         self.sigma = sigma
         self.method = method
+        self.jensen = (cfg.protocol is Protocol.INR
+                       and method is QuantileMethod.ASYMPTOTIC)
         self.jensen_fallback = jensen_fallback
         self.quantile = quantile
 
+    def _numerator(self, g1, p1):
+        return _round_two_numerator(self.cfg.protocol, self.cfg, self.jensen,
+                                    g1, p1, self.jensen_fallback)
+
     def jensen_fallback_mask(self, g1) -> np.ndarray:
         """Failed-round-one points where the Jensen numerator is nonpositive."""
-        return _round_two_numerator(self.cfg.protocol, self.cfg, self.method,
-                                    np.asarray(g1, dtype=float),
-                                    _require_p1(self.cfg))[1]
+        return self._numerator(np.asarray(g1, dtype=float),
+                               _require_p1(self.cfg))[1]
 
     def __call__(self, g1, p1=None) -> np.ndarray:
         g1 = np.asarray(g1, dtype=float)
         p1 = _require_p1(self.cfg) if p1 is None else np.asarray(p1, float)
-        num, _ = _round_two_numerator(self.cfg.protocol, self.cfg, self.method,
-                                      g1, p1, self.jensen_fallback)
+        num, _ = self._numerator(g1, p1)
         with np.errstate(invalid="ignore"):
             p2 = np.where(num > 0.0, num / self.quantile(g1), 0.0)
         return p2
@@ -189,11 +196,10 @@ class P2Rule:
         (1+g1 p1)^2 for INR's exact numerator) over the quantile."""
         g1, p1 = np.asarray(g1, dtype=float), np.asarray(p1, dtype=float)
         cfg = self.cfg
-        num, fallback = _round_two_numerator(cfg.protocol, cfg, self.method,
-                                             g1, p1, self.jensen_fallback)
+        num, fallback = self._numerator(g1, p1)
         d = -g1
         if cfg.protocol is Protocol.INR:
-            exact = fallback | (self.method is not QuantileMethod.ASYMPTOTIC)
+            exact = fallback if self.jensen else True
             d = np.where(exact, d * (1.0 + cfg.theta) / (1.0 + g1 * p1)**2, d)
         with np.errstate(invalid="ignore"):
             return np.where(num > 0.0, d / self.quantile(g1), 0.0)

@@ -8,19 +8,21 @@ be farmed out to workers without changing any result.  Each batch draws
 its g1 first, sized by its own trial count: those are the first values
 of its stream, so a trial's g1 never depends on n_trials; the g2 draws
 that follow are sized by the batch's trials, so in a short last batch
-they do.  The batch kernels overwrite their draws in place and count with
-count_nonzero; the closed loop sorts its round-two g1 before the rule's
-table lookups.  Power totals are reduced with math.fsum (exactly rounded,
-hence order-independent).
+they do.  The simulators walk the same batch streams, and the two-round
+ones share one round-two step, which overwrites its draws in place and
+counts with count_nonzero; the closed loop sorts its round-two g1 before
+the rule's table lookups.  Power totals are reduced with math.fsum
+(exactly rounded, hence order-independent).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channel import GainQuantile, QuantileMethod, sample_g1, sample_g2_given_g1
-from .harq import HarqConfig, P2Rule, PaharqError, Protocol, theta
+from .harq import (HarqConfig, P2Rule, PaharqError, Protocol, _require_p1,
+                   theta)
 
 BATCH_SIZE = 1 << 16
 # run_open_loop's conditional estimate needs this many round-two trials
@@ -65,15 +67,30 @@ def _batches(n_trials: int):
         yield j, min(BATCH_SIZE, n_trials - j * BATCH_SIZE)
 
 
-def _outages(x1, x2, protocol: Protocol, rate: float, th: float) -> int:
-    """Trials still in outage after round two, given the SNRs x1 and x2 of
-    the two rounds: RTD adds the SNRs, INR the mutual informations.
-    Overwrites both arrays."""
+def _streams(n_trials: int, seed: int, P: float):
+    """The (trials, generator) of each batch, once n_trials and the
+    constant round-one power P are checked, before any work."""
+    if n_trials < 1:
+        raise ValueError("n_trials must be >= 1")
+    if not P > 0:
+        raise ValueError(f"P must be > 0, got {P}")
+    return ((m, _batch_rng(seed, j)) for j, m in _batches(n_trials))
+
+
+def _round_two(rng, g1, sigma: float, p1: float, p2, protocol: Protocol,
+               rate: float) -> int:
+    """Trials still in outage after round two, for the round-one gains g1
+    at power p1 that failed: draw g2 | g1, scale it by the round-two power
+    p2 (one, or one per trial), then RTD adds the SNRs and INR the mutual
+    informations.  Overwrites g1."""
+    x2 = sample_g2_given_g1(rng, g1, sigma)
+    x2 *= p2
+    g1 *= p1
     if protocol is Protocol.RTD:
-        x2 += x1
-        return np.count_nonzero(x2 < th)
+        x2 += g1
+        return np.count_nonzero(x2 < theta(rate))
     np.log1p(x2, out=x2)
-    x2 += np.log1p(x1, out=x1)
+    x2 += np.log1p(g1, out=g1)
     return np.count_nonzero(x2 < rate)
 
 
@@ -84,10 +101,8 @@ def _finalize(n_trials, seed, n_round2, n_outage, power_sums, power_sqsums,
         cond_se = math.sqrt(cond * (1.0 - cond) / n_round2)
     else:
         cond, cond_se = math.nan, math.nan
-    total = math.fsum(power_sums)
-    total_sq = math.fsum(power_sqsums)
-    mean = total / n_trials
-    var = max(total_sq / n_trials - mean * mean, 0.0)
+    mean = math.fsum(power_sums) / n_trials
+    var = max(math.fsum(power_sqsums) / n_trials - mean * mean, 0.0)
     if n_trials > 1:
         var *= n_trials / (n_trials - 1)
     return MCReport(
@@ -113,21 +128,14 @@ def run_closed_loop(cfg: HarqConfig, sigma: float,
     (g1 p1 + g2 P2 >= theta) or INR accumulation
     (log(1+g1 p1) + log(1+g2 P2) >= rate).
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
+    p1 = _require_p1(cfg)
+    batches = _streams(n_trials, seed, p1)
     rule = P2Rule(cfg, sigma, method, jensen_fallback=jensen_fallback,
                   quantile=quantile)
-    p1 = cfg.p1
     th = cfg.theta
-    # the Jensen numerator exists only for INR with the asymptotic rule
-    count_fallback = (cfg.protocol is Protocol.INR
-                      and method is QuantileMethod.ASYMPTOTIC)
-    n_round2 = 0
-    n_outage = 0
-    fallback = 0
+    n_round2 = n_outage = fallback = 0
     sums, sqsums = [], []
-    for j, m in _batches(n_trials):
-        rng = _batch_rng(seed, j)
+    for m, rng in batches:
         g1 = sample_g1(rng, size=m)
         g1 = g1[g1 * p1 < th]
         # in ascending order the table lookups of the rule walk its knots in
@@ -136,12 +144,10 @@ def run_closed_loop(cfg: HarqConfig, sigma: float,
         g1.sort()
         n = g1.size
         p2 = rule(g1)
-        if count_fallback:
+        if rule.jensen:
             fallback += np.count_nonzero(rule.jensen_fallback_mask(g1))
-        x2 = sample_g2_given_g1(rng, g1, sigma)
-        x2 *= p2
         n_round2 += n
-        n_outage += _outages(g1 * p1, x2, cfg.protocol, cfg.rate, th)
+        n_outage += _round_two(rng, g1, sigma, p1, p2, cfg.protocol, cfg.rate)
         # every trial spends p1, a failed one p2 on top
         p2 += p1
         sums += [(m - n) * p1, float(p2.sum())]
@@ -158,21 +164,14 @@ def run_open_loop(P: float, rate: float, sigma: float, protocol: Protocol,
     first-round gain fails (g1 < theta/P) enter the denominator.  Raises
     DegenerateConditioningError when fewer than 100 survive.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    if not P > 0:
-        raise ValueError(f"P must be > 0, got {P}")
+    batches = _streams(n_trials, seed, P)
     th = theta(rate)
-    n_cond = 0
-    n_out = 0
-    for j, m in _batches(n_trials):
-        rng = _batch_rng(seed, j)
+    n_cond = n_out = 0
+    for m, rng in batches:
         g1 = sample_g1(rng, size=m)
         g1 = g1[g1 * P < th]
         n_cond += g1.size
-        x2 = sample_g2_given_g1(rng, g1, sigma)
-        x2 *= P
-        n_out += _outages(g1 * P, x2, protocol, rate, th)
+        n_out += _round_two(rng, g1, sigma, P, P, protocol, rate)
     if n_cond < _MIN_CONDITIONED:
         raise DegenerateConditioningError(
             f"only {n_cond} of {n_trials} trials met g1 < theta/P "
@@ -194,47 +193,27 @@ def run_open_loop_conditional(P: float, rate: float, sigma: float,
     average power is not estimated here (the conditioning discards the
     no-retransmission trials); it is NaN in the report.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    if not P > 0:
-        raise ValueError(f"P must be > 0, got {P}")
-    th = theta(rate)
-    p_cond = -math.expm1(-th / P)
+    batches = _streams(n_trials, seed, P)
+    p_cond = -math.expm1(-theta(rate) / P)
     n_out = 0
-    for j, m in _batches(n_trials):
-        rng = _batch_rng(seed, j)
+    for m, rng in batches:
         g1 = rng.random(m)
         g1 *= -p_cond
         np.negative(np.log1p(g1, out=g1), out=g1)   # -log1p(-u p_cond)
-        x2 = sample_g2_given_g1(rng, g1, sigma)
-        x2 *= P
-        g1 *= P
-        n_out += _outages(g1, x2, protocol, rate, th)
-    zeta = n_out / n_trials
-    se = math.sqrt(zeta * (1.0 - zeta) / n_trials)
-    return MCReport(
-        n_trials=n_trials, seed=seed,
-        outage_rate=zeta * p_cond,
-        cond_round2_outage=zeta, cond_round2_se=se,
-        avg_power=math.nan, avg_power_se=math.nan,
-        n_round2=n_trials, n_outage=n_out,
-    )
+        n_out += _round_two(rng, g1, sigma, P, P, protocol, rate)
+    # every trial enters round two, one in p_cond of the unconditioned ones
+    rep = _finalize(n_trials, seed, n_trials, n_out, [], [])
+    return replace(rep, outage_rate=rep.cond_round2_outage * p_cond,
+                   avg_power=math.nan, avg_power_se=math.nan)
 
 
 def run_no_retx(P: float, rate: float, n_trials: int = 100_000,
                 seed: int = 0) -> MCReport:
     """Simulate single-shot transmission; outage estimates 1 - e^{-theta/P}."""
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    if not P > 0:
-        raise ValueError(f"P must be > 0, got {P}")
+    batches = _streams(n_trials, seed, P)
     th = theta(rate)
-    n_out = 0
-    for j, m in _batches(n_trials):
-        rng = _batch_rng(seed, j)
-        x1 = sample_g1(rng, size=m)
-        x1 *= P
-        n_out += np.count_nonzero(x1 < th)
+    n_out = sum(np.count_nonzero(sample_g1(rng, size=m) * P < th)
+                for m, rng in batches)
     return MCReport(
         n_trials=n_trials, seed=seed,
         outage_rate=n_out / n_trials,

@@ -185,6 +185,40 @@ def test_mc_verify_small(tmp_path):
         assert float(r["z_score"]) < 3.0
 
 
+def test_mc_verify_without_round_two_becomes_error_row(tmp_path):
+    # at p1 = 1e6 no trial of ten fails round one; sigma = 1 keeps the
+    # exact table cheap
+    out = tmp_path / "verify.csv"
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "eps": [0.01], "sigma": [1.0], "p1": 1e6,
+        "open_loop_power_db": [10.0], "open_loop_rate": [0.5]}))
+    assert main(["mc-verify", "--config", str(config), "--seed", "1",
+                 "--trials", "10", "--out", str(out)]) == 2
+    rows = read_csv(out)
+    closed = [r for r in rows if r["check"] == "closed_loop"]
+    assert [r["protocol"] for r in closed] == ["rtd", "inr"]
+    for r in closed:
+        assert r["error"].startswith("no trial of 10 entered round two")
+    assert {"open_loop_outage", "no_retx_outage"} <= {r["check"] for r in rows}
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["fig4", "--seed", "1"], {"rate": [0.0], "eps": [0.1], "trials": 100}),
+    (["headline"], {"rate": 0.0}),
+    (["eval", "no-retx-required-power", "target_eps=0.1", "rate=0"], None),
+], ids=["fig4", "headline", "eval"])
+def test_zero_rate_exits_one(tmp_path, capsys, argv, config):
+    out = tmp_path / "out.csv"
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: rate must be > 0, got 0.0\n"
+    assert not out.exists()
+
+
 def test_bad_config_exits_one(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2, 3]")
@@ -205,12 +239,14 @@ def test_bad_config_exits_one(tmp_path):
     ["fig4", "--seed", "1", "--trials", "0"],    # trials are >= 1
     ["fig4", "--seed", "1", "--trials", "-5"],
     ["mc-verify", "--seed", "1", "--trials", "0"],
+    ["fig4", "--seed", "1", "--trials", "10", "--workers", "0"],
+    ["fig4", "--seed", "1", "--trials", "10", "--workers", "-2"],
 ])
 def test_usage_errors_exit_one(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err.count("error:") == 1
 
 
 def test_config_trials_below_one_exit_one(tmp_path, capsys):

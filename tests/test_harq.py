@@ -204,6 +204,14 @@ class TestP2Rule:
                             quantile=None)
         assert not rule_exact.jensen_fallback_mask(g).any()
 
+    @pytest.mark.parametrize("method", [QuantileMethod.ASYMPTOTIC,
+                                        QuantileMethod.WEIBULL])
+    def test_jensen_numerator_only_for_inr_asymptotic(self, method):
+        for cfg in (CFG_RTD, CFG_INR):
+            rule = P2Rule(cfg, 0.8, method)
+            assert rule.jensen == (cfg is CFG_INR
+                                   and method is QuantileMethod.ASYMPTOTIC)
+
     def test_mismatched_table_rejected(self, qcache):
         q = qcache.get(1e-3, 0.8)
         with pytest.raises(ValueError):

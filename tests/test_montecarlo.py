@@ -11,6 +11,7 @@ from paharq.benchmarks import (
     zeta_inr_closed,
     zeta_rtd_closed,
 )
+from paharq import montecarlo
 from paharq.channel import QuantileMethod, sample_g2_given_g1
 from paharq.harq import HarqConfig, P2Rule, Protocol, theta
 from paharq.montecarlo import (
@@ -200,6 +201,14 @@ class TestClosedLoop:
                                n_trials=50_000, seed=7)
         assert rep2.jensen_fallback_count == 0
 
+    def test_missing_p1_raises_before_any_draw(self, monkeypatch):
+        def draw(*args, **kwargs):
+            raise AssertionError("drew a sample")
+        monkeypatch.setattr(montecarlo, "sample_g1", draw)
+        cfg = HarqConfig(Protocol.RTD, rate=1.0, eps=1e-3)
+        with pytest.raises(ValueError, match="p1 must be set"):
+            run_closed_loop(cfg, 0.8, QuantileMethod.ASYMPTOTIC, n_trials=10)
+
     def test_spent_power_at_least_p1(self, qcache):
         q = qcache.get(1e-3, 0.8)
         rep = run_closed_loop(CFG, 0.8, n_trials=50_000, seed=8, quantile=q)
@@ -273,6 +282,19 @@ class TestOpenLoop:
 def test_power_must_be_positive(run, P):
     with pytest.raises(ValueError, match="^P must be > 0"):
         run(P)
+
+
+@pytest.mark.parametrize("run", [
+    lambda n: run_closed_loop(CFG, 0.8, QuantileMethod.ASYMPTOTIC,
+                              n_trials=n),
+    lambda n: run_open_loop(10.0, 1.0, 0.8, Protocol.RTD, n_trials=n),
+    lambda n: run_open_loop_conditional(10.0, 1.0, 0.8, Protocol.RTD,
+                                        n_trials=n),
+    lambda n: run_no_retx(10.0, 1.0, n_trials=n),
+], ids=["closed-loop", "open-loop", "open-loop-conditional", "no-retx"])
+def test_trials_must_be_positive(run):
+    with pytest.raises(ValueError, match="^n_trials must be >= 1$"):
+        run(0)
 
 
 class TestOpenLoopConditional:
