@@ -187,20 +187,37 @@ def sample_g2_given_g1(rng: np.random.Generator, g1, sigma: float):
         g2 = (sqrt(1 - sigma^2) sqrt(g1) + sigma x / sqrt 2)^2
              + (sigma y / sqrt 2)^2
 
-    with x and y the two rows of one standard_normal((2,) + g1.shape) draw,
-    so a call consumes exactly 2 g1.size normals from `rng`.
+    with x and y standard normals: a call draws g1.size values of x, then
+    g1.size values of y, from `rng`.
     """
+    g2, scale = _g2_in_phase(rng, g1, sigma)
+    return _add_g2_quadrature(rng, g2, scale)
+
+
+def _g2_in_phase(rng: np.random.Generator, g1, sigma: float):
+    """g2 | g1 at y = 0, the in-phase square of `sample_g2_given_g1`,
+    drawing one x per g1; and the scale sigma / sqrt 2 of the quadrature
+    term."""
     _check_sigma(sigma)
     g1 = np.asarray(g1, dtype=float)
-    z = rng.standard_normal((2,) + g1.shape)
-    z *= sigma * math.sqrt(0.5)
-    x, y = z
+    scale = sigma * math.sqrt(0.5)
+    g2 = rng.standard_normal(g1.shape)
+    g2 *= scale
     mean = np.sqrt(g1)
     mean *= math.sqrt(1.0 - sigma * sigma)
-    x += mean
-    np.square(z, out=z)
-    x += y
-    return x
+    g2 += mean
+    np.square(g2, out=g2)
+    return g2, scale
+
+
+def _add_g2_quadrature(rng: np.random.Generator, g2, scale: float):
+    """Add the quadrature square (scale y)^2 to g2 in place, drawing one y
+    per value; returns g2."""
+    y = rng.standard_normal(g2.shape)
+    y *= scale
+    np.square(y, out=y)
+    g2 += y
+    return g2
 
 
 def _check_sigma(sigma: float) -> None:

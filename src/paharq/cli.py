@@ -379,9 +379,18 @@ def _closed_loop_rows(config, master_seed, protocol_name, eps, sigma):
     return rows
 
 
+def _check_open_loop_rate(rate) -> None:
+    """mc-verify's open-loop rate must be > 0: at rate 0 every round one
+    decodes, so no trial reaches round two, the single-shot outage is 0 and
+    no check can measure anything.  A config error."""
+    if not rate > 0:
+        raise ValueError(f"rate must be > 0, got {rate}")
+
+
 def _open_loop_rows(config, master_seed, protocol_name, rate, p_db):
     # closed-form outage vs simulation (score-style se), plus the
     # exact-quadrature cross-check and the average power identity
+    _check_open_loop_rate(rate)
     sigma, trials = float(config["open_loop_sigma"]), int(config["trials"])
     protocol = Protocol(protocol_name)
     P = 10.0 ** (p_db / 10.0)
@@ -415,6 +424,7 @@ def _open_loop_rows(config, master_seed, protocol_name, rate, p_db):
 
 
 def _no_retx_rows(config, master_seed, p_db, rate):
+    _check_open_loop_rate(rate)
     trials = int(config["trials"])
     P = 10.0 ** (p_db / 10.0)
     seed = _row_seed(master_seed, "nr", rate, p_db)

@@ -6,13 +6,15 @@ by SeedSequence(seed, spawn_key=(j,)), so batch streams are independent,
 a whole batch is the same regardless of n_trials, and whole batches can
 be farmed out to workers without changing any result.  Each batch draws
 its g1 first, sized by its own trial count: those are the first values
-of its stream, so a trial's g1 never depends on n_trials; the g2 draws
-that follow are sized by the batch's trials, so in a short last batch
+of its stream, so a trial's g1 never depends on n_trials; the normals of
+g2 that follow are sized by the batch's trials, so in a short last batch
 they do.  The simulators walk the same batch streams, and the two-round
-ones share one round-two step, which overwrites its draws in place and
-counts with count_nonzero; the closed loop sorts its round-two g1 before
-the rule's table lookups.  Power totals are reduced with math.fsum
-(exactly rounded, hence order-independent).
+ones share one round-two step, which draws one normal (x) per round-two
+trial and a second (y) only for the trials that x leaves in outage,
+overwrites its draws in place and counts with count_nonzero; the closed
+loop sorts its round-two g1 before the rule's table lookups.  Power
+totals are reduced with math.fsum (exactly rounded, hence
+order-independent).
 """
 
 import math
@@ -20,7 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import GainQuantile, QuantileMethod, sample_g1, sample_g2_given_g1
+from .channel import (GainQuantile, QuantileMethod, _add_g2_quadrature,
+                      _g2_in_phase, sample_g1)
 from .harq import (HarqConfig, P2Rule, PaharqError, Protocol, _require_p1,
                    theta)
 
@@ -82,16 +85,37 @@ def _round_two(rng, g1, sigma: float, p1: float, p2, protocol: Protocol,
     """Trials still in outage after round two, for the round-one gains g1
     at power p1 that failed: draw g2 | g1, scale it by the round-two power
     p2 (one, or one per trial), then RTD adds the SNRs and INR the mutual
-    informations.  Overwrites g1."""
-    x2 = sample_g2_given_g1(rng, g1, sigma)
-    x2 *= p2
+    informations.  Overwrites g1.
+
+    Both outage tests fall as g2 grows, and the quadrature term of g2 (the
+    y of `sample_g2_given_g1`) only adds to it, so a trial that decodes
+    at y = 0 decodes at every y; rounding keeps that order.  So every trial
+    draws its x, and only the trials that stay in outage at y = 0 draw a y:
+    each count is bit for bit the one of the full g2 on the same (x, y).
+    """
+    g2, scale = _g2_in_phase(rng, g1, sigma)
     g1 *= p1
-    if protocol is Protocol.RTD:
-        x2 += g1
-        return np.count_nonzero(x2 < theta(rate))
-    np.log1p(x2, out=x2)
-    x2 += np.log1p(g1, out=g1)
-    return np.count_nonzero(x2 < rate)
+    if protocol is Protocol.INR:
+        np.log1p(g1, out=g1)
+        limit = rate
+    else:
+        limit = theta(rate)
+    open_ = np.flatnonzero(_outages(g1, g2, p2, protocol, limit))
+    g2 = _add_g2_quadrature(rng, g2.take(open_), scale)
+    if np.ndim(p2):
+        p2 = p2.take(open_)
+    return np.count_nonzero(_outages(g1.take(open_), g2, p2, protocol, limit))
+
+
+def _outages(round_one, g2, p2, protocol: Protocol, limit: float):
+    """Mask of the trials in outage: round one's SNR g1 p1 (RTD) or mutual
+    information log(1 + g1 p1) (INR) plus round two's at g2, below the
+    threshold (RTD) or the rate (INR)."""
+    total = g2 * p2
+    if protocol is Protocol.INR:
+        np.log1p(total, out=total)
+    total += round_one
+    return total < limit
 
 
 def _finalize(n_trials, seed, n_round2, n_outage, power_sums, power_sqsums,
@@ -139,8 +163,9 @@ def run_closed_loop(cfg: HarqConfig, sigma: float,
         g1 = sample_g1(rng, size=m)
         g1 = g1[g1 * p1 < th]
         # in ascending order the table lookups of the rule walk its knots in
-        # turn (~3x faster); the normals drawn next do not depend on g1, so
-        # the law of the (g1, g2) pairs, and of the report, is unchanged
+        # turn (~3x faster); how many y normals round two draws depends on
+        # g1, but no normal's value does, so the law of the (g1, g2) pairs,
+        # and of the report, is unchanged
         g1.sort()
         n = g1.size
         p2 = rule(g1)

@@ -195,10 +195,19 @@ class TestInverseConditionalCdf:
                             QuantileMethod.ASYMPTOTIC)
 
 
+def _chndtrix_quantile(eps, sigma, g1):
+    """The eps-quantile of g2 | g1 from scipy's noncentral chi-square
+    inverse: g2 is sigma^2 / 2 times a chi-square with 2 degrees of freedom
+    and noncentrality 2 g1 (1 - sigma^2) / sigma^2."""
+    s2 = sigma * sigma
+    return 0.5 * s2 * sp_special.chndtrix(eps, 2.0, 2.0 * g1 * (1.0 - s2) / s2)
+
+
 class TestGainQuantile:
     def test_table_matches_scalar_inverse(self, qcache):
-        # interpolation resolution is ~1e-5 relative at the growth transition,
-        # far below anything the Monte Carlo or optimizer consumers resolve
+        # between knots the table is off by at most 2.2e-5 relative at
+        # eps = 1e-3, far below anything the Monte Carlo or optimizer
+        # consumers resolve
         q = qcache.get(1e-3, 0.8)
         for g1 in (0.0, 1e-6, 0.2, 1.0, 7.0, 45.0):
             direct = inv_cond_cdf_g2(1e-3, g1, 0.8, QuantileMethod.EXACT)
@@ -207,17 +216,26 @@ class TestGainQuantile:
     @pytest.mark.parametrize("eps", [1e-3, 1e-5])
     def test_between_knots_against_chndtrix(self, qcache, eps):
         # scipy's noncentral chi-square inverse as an independent reference,
-        # at the geometric midpoint of every knot interval, where the
-        # monotone cubic is furthest from its data; the bound is one order
-        # above the table's stated ~1e-5 resolution
-        sigma = 0.8
-        s2 = sigma * sigma
+        # at the geometric midpoint of every knot interval, where the table
+        # is off by at most 5.1e-6 (eps = 1e-3) and 3.6e-5 (eps = 1e-5)
         mid = np.sqrt(QUANTILE_KNOTS[1:] * QUANTILE_KNOTS[:-1])
-        ref = 0.5 * s2 * sp_special.chndtrix(eps, 2.0,
-                                             2.0 * mid * (1.0 - s2) / s2)
         assert mid.size == 512
-        np.testing.assert_allclose(qcache.get(eps, sigma)(mid), ref,
+        np.testing.assert_allclose(qcache.get(eps, 0.8)(mid),
+                                   _chndtrix_quantile(eps, 0.8, mid),
                                    rtol=1e-4, atol=0.0)
+
+    @pytest.mark.parametrize("eps,rtol", [(1e-3, 5e-5), (1e-5, 2e-4)])
+    @pytest.mark.parametrize("frac", [0.2, 0.8])
+    def test_off_midpoint_against_chndtrix(self, qcache, eps, rtol, frac):
+        # 20 % and 80 % of the way (in log g1) through each knot interval
+        # the cubic is further off than at the midpoint: at sigma = 0.8 at
+        # most 2.2e-5 (eps = 1e-3) and 1.0e-4 (eps = 1e-5) relative, near
+        # g1 = 9 and 16; each bound is twice that
+        lo, hi = QUANTILE_KNOTS[:-1], QUANTILE_KNOTS[1:]
+        g1 = lo * (hi / lo) ** frac
+        np.testing.assert_allclose(qcache.get(eps, 0.8)(g1),
+                                   _chndtrix_quantile(eps, 0.8, g1),
+                                   rtol=rtol, atol=0.0)
 
     def test_table_roundtrip_through_cdf(self, qcache):
         q = qcache.get(1e-2, 0.5)
@@ -279,9 +297,9 @@ class TestSamplers:
         assert ks < 1.95 / math.sqrt(n)
 
     def test_g2_draws_two_normals_per_trial(self):
-        # the stream contract of the simulators: one call consumes exactly
-        # 2n standard normals, x then y, and leaves the generator where a
-        # twin stands after standard_normal(2n)
+        # the stream contract of the sampler: one call consumes exactly 2n
+        # standard normals, x then y, and leaves the generator where a twin
+        # stands after standard_normal(2n)
         g1 = np.linspace(0.0, 5.0, 1001)
         sigma = 0.6
         rng = np.random.Generator(np.random.Philox(key=7))
@@ -293,3 +311,8 @@ class TestSamplers:
         np.testing.assert_allclose(g2, expected, rtol=1e-14, atol=0.0)
         np.testing.assert_array_equal(rng.standard_normal(8),
                                       twin.standard_normal(8))
+
+    def test_g2_of_a_scalar_g1_is_that_of_a_one_element_array(self):
+        a = sample_g2_given_g1(np.random.default_rng(8), 2.0, 0.8)
+        b = sample_g2_given_g1(np.random.default_rng(8), np.array([2.0]), 0.8)
+        assert np.shape(a) == () and float(a) == b[0]

@@ -207,7 +207,11 @@ def test_mc_verify_without_round_two_becomes_error_row(tmp_path):
     (["fig4", "--seed", "1"], {"rate": [0.0], "eps": [0.1], "trials": 100}),
     (["headline"], {"rate": 0.0}),
     (["eval", "no-retx-required-power", "target_eps=0.1", "rate=0"], None),
-], ids=["fig4", "headline", "eval"])
+    (["mc-verify", "--seed", "1"], {"eps": [0.1], "sigma": [1.0],
+                                    "open_loop_rate": [0.0],
+                                    "open_loop_power_db": [10.0],
+                                    "trials": 1000}),
+], ids=["fig4", "headline", "eval", "mc-verify"])
 def test_zero_rate_exits_one(tmp_path, capsys, argv, config):
     out = tmp_path / "out.csv"
     if config is not None:

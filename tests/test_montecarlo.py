@@ -12,7 +12,7 @@ from paharq.benchmarks import (
     zeta_rtd_closed,
 )
 from paharq import montecarlo
-from paharq.channel import QuantileMethod, sample_g2_given_g1
+from paharq.channel import QuantileMethod
 from paharq.harq import HarqConfig, P2Rule, Protocol, theta
 from paharq.montecarlo import (
     BATCH_SIZE,
@@ -34,6 +34,23 @@ def _outage(g1, g2, p1, p2, protocol, rate):
     return np.log1p(g1 * p1) + np.log1p(g2 * p2) < rate
 
 
+def _in_phase(x, g1, sigma):
+    # g2 at y = 0, in the sampler's order of operations
+    return (x * (sigma * math.sqrt(0.5))
+            + np.sqrt(g1) * math.sqrt(1.0 - sigma * sigma)) ** 2
+
+
+def _plain_round_two(rng, g1, sigma, p1, p2, protocol, rate):
+    """Outage mask of round two as plain array expressions, in the draw
+    order of the simulators: x for every trial, then y for the trials
+    still in outage at y = 0."""
+    g2 = _in_phase(rng.standard_normal(g1.size), g1, sigma)
+    open_ = _outage(g1, g2, p1, p2, protocol, rate)
+    y = rng.standard_normal(np.count_nonzero(open_))
+    g2[open_] += (y * (sigma * math.sqrt(0.5))) ** 2
+    return _outage(g1, g2, p1, p2, protocol, rate)
+
+
 def _plain_open_loop(kind, P, rate, sigma, protocol, n_trials, seed):
     """(conditioned, outage) counts of the open-loop and single-shot
     simulators as plain array expressions on the same batch streams."""
@@ -50,9 +67,9 @@ def _plain_open_loop(kind, P, rate, sigma, protocol, n_trials, seed):
                 n_out += int((g1 * P < th).sum())
                 continue
             g1 = g1[g1 * P < th]
-        g2 = sample_g2_given_g1(rng, g1, sigma)
         n_cond += g1.size
-        n_out += int(_outage(g1, g2, P, P, protocol, rate).sum())
+        n_out += int(_plain_round_two(rng, g1, sigma, P, P, protocol,
+                                      rate).sum())
     return n_cond, n_out
 
 
@@ -69,10 +86,9 @@ def _plain_closed_loop(cfg, sigma, method, n_trials, seed, quantile):
         g1f = np.sort(g1[failed])
         p2 = rule(g1f)
         fallback += int(rule.jensen_fallback_mask(g1f).sum())
-        g2 = sample_g2_given_g1(rng, g1f, sigma)
         n_round2 += int(failed.sum())
-        n_out += int(_outage(g1f, g2, cfg.p1, p2, cfg.protocol,
-                             cfg.rate).sum())
+        n_out += int(_plain_round_two(rng, g1f, sigma, cfg.p1, p2,
+                                      cfg.protocol, cfg.rate).sum())
         spent += [np.full(m - g1f.size, cfg.p1), cfg.p1 + p2]
     return n_round2, n_out, fallback, np.concatenate(spent).mean()
 
@@ -117,6 +133,38 @@ class TestBatchKernels:
         assert rep.jensen_fallback_count == fallback
         assert (fallback > 0) == (method is QuantileMethod.ASYMPTOTIC)
         assert rep.avg_power == pytest.approx(mean, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    @pytest.mark.parametrize("sigma", [1e-3, 0.8, 1.0])
+    @pytest.mark.parametrize("kind", ["scalar", "array", "zero"])
+    def test_round_two_screen(self, kind, sigma, protocol):
+        # a trial that draws no y decodes whatever its y, and the step takes
+        # n + k normals from its stream: n x, then k y for the k trials
+        # still in outage at y = 0; p2 = 0 (INR's Jensen rule) warns nothing
+        rate, p1 = 2.0, 1.0
+        draws = np.random.default_rng(71)
+        g1 = draws.exponential(size=20_000)
+        g1 = g1[g1 * p1 < theta(rate)]
+        n = g1.size
+        p2 = {"scalar": 3.0, "zero": 0.0,
+              "array": np.where(draws.random(n) < 0.2, 0.0,
+                                draws.uniform(0.0, 8.0, n))}[kind]
+        rng = _batch_rng(72, 0)
+        count = montecarlo._round_two(rng, g1.copy(), sigma, p1, p2, protocol,
+                                      rate)
+        normals = _batch_rng(72, 0).standard_normal(2 * n + 1)
+        x = normals[:n]
+        open_ = _outage(g1, _in_phase(x, g1, sigma), p1, p2, protocol, rate)
+        k = np.count_nonzero(open_)
+        assert 0 < k and (k < n) == (kind != "zero")
+        y = 3.0 * draws.standard_normal(n)      # any y for the decoded trials
+        y[::7] = 0.0
+        y[open_] = normals[n:n + k]
+        g2 = _in_phase(x, g1, sigma) + (y * (sigma * math.sqrt(0.5))) ** 2
+        assert count == np.count_nonzero(_outage(g1, g2, p1, p2, protocol,
+                                                 rate))
+        assert rng.standard_normal() == normals[n + k]
 
 
 class TestBatchStreams:
