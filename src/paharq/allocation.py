@@ -89,8 +89,6 @@ class PowerSolution:
 
     p1: float
     avg_power: float
-    protocol: Protocol
-    method: str              # "closed-form" or "numeric-<quantile method>"
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -146,18 +144,18 @@ def _integral(rule: P2Rule, integrand, p1s: np.ndarray, base) -> np.ndarray:
     split = np.minimum(cfg.theta1 / p1s, g_hi) if rule.jensen else g_hi
     val = np.empty(p1s.size)
     err = np.empty(p1s.size)
-    for i in range(p1s.size):
-        # one power at a time, so each value is the one it has on its own
-        batch = slice(i, i + 1)
-        edges = _EDGES[:int(np.searchsorted(_EDGES, g_hi[batch].max())) + 1]
-        edges = np.sort(np.concatenate((np.minimum(edges, g_hi[batch, None]),
-                                        split[batch, None]), axis=1), axis=1)
-        half = 0.5 * np.diff(edges, axis=1)[..., None]
-        x = 0.5 * (edges[:, 1:] + edges[:, :-1])[..., None] + half * _XK
-        f = half * np.exp(-x) * integrand(x, p1s[batch, None, None])
+    for i, p1 in enumerate(p1s):
+        # one power at a time, so each value is the one it has on its own;
+        # without a kink the split edge adds a zero-width panel at g_hi,
+        # kept because the panel count sets the order of the sums
+        edges = _EDGES[:int(np.searchsorted(_EDGES, g_hi[i])) + 1]
+        edges = np.sort(np.append(np.minimum(edges, g_hi[i]), split[i]))
+        half = 0.5 * np.diff(edges)[:, None]
+        x = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * _XK
+        f = half * np.exp(-x) * integrand(x, p1)
         kronrod = f @ _WK
-        val[batch] = kronrod.sum(axis=1)
-        err[batch] = np.abs(kronrod - f[..., 1::2] @ _WG).sum(axis=1)
+        val[i] = kronrod.sum()
+        err[i] = np.abs(kronrod - f[:, 1::2] @ _WG).sum()
     bad = err > 1e-6 * np.maximum(np.abs(val), base)
     if bad.any():
         i = int(np.argmax(bad))
@@ -210,8 +208,6 @@ def optimal_p1_closed_form(cfg: HarqConfig, sigma: float) -> PowerSolution:
     return PowerSolution(
         p1=p1,
         avg_power=closed_form_avg_power(p1, cfg, sigma),
-        protocol=cfg.protocol,
-        method="closed-form",
         diagnostics={"stationarity_residual": residual},
     )
 
@@ -255,8 +251,6 @@ def optimal_p1_numeric(cfg: HarqConfig, sigma: float,
     return PowerSolution(
         p1=p1,
         avg_power=y,
-        protocol=cfg.protocol,
-        method=f"numeric-{method.value}",
         diagnostics={"stationarity_residual": p1 * slope(t_opt) / y,
                      "integrals": slope.cache_info().currsize + 2},
     )

@@ -5,8 +5,8 @@ rear antenna come from complex Gaussians linked by a mixing parameter
 sigma: h2 = sqrt(1 - sigma^2) h1 + sigma q.  Conditioned on g1 = |h1|^2,
 g2 = |h2|^2 is noncentral chi-square, so its CDF is a Marcum Q expression.
 sigma itself can be supplied directly or derived from the drive geometry
-(speed, processing delay, carrier frequency, antenna separation) through a
-pluggable spatial-correlation mapping.
+(speed, processing delay, carrier frequency, antenna separation) through
+Jakes' spatial-correlation model.
 """
 
 import enum
@@ -54,22 +54,20 @@ def jakes_sigma(d: float, wavelength: float) -> float:
     return math.sqrt(max(1.0 - sp_special.j0(2.0 * math.pi * d / wavelength) ** 2, 0.0))
 
 
-def sigma_from_geometry(v: float, delta: float, f_c: float, d_a: float,
-                        mapping=None) -> float:
+def sigma_from_geometry(v: float, delta: float, f_c: float,
+                        d_a: float) -> float:
     """sigma for a given drive geometry, clamped to [SIGMA_MIN, 1].
 
     v is the vehicle speed [m/s], delta the processing delay between probe
     and data [s], f_c the carrier frequency [Hz] and d_a the antenna
-    separation [m]; each must be > 0.  `mapping(d, wavelength)` converts
-    the mismatch distance d = |d_a - v delta| to sigma; defaults to the
-    Jakes correlation model.
+    separation [m]; each must be > 0.  The mismatch distance
+    d = |d_a - v delta| goes through the Jakes correlation model.
     """
     for name, value in (("v", v), ("delta", delta), ("f_c", f_c),
                         ("d_a", d_a)):
         if not value > 0:
             raise ValueError(f"{name} must be > 0")
-    fn = jakes_sigma if mapping is None else mapping
-    sigma = fn(abs(d_a - v * delta), SPEED_OF_LIGHT / f_c)
+    sigma = jakes_sigma(abs(d_a - v * delta), SPEED_OF_LIGHT / f_c)
     return min(max(sigma, SIGMA_MIN), 1.0)
 
 

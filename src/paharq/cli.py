@@ -163,8 +163,13 @@ def _load_config(name: str, path: str | None, overrides: dict) -> dict:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ValueError(f"config {path} must be a flat JSON object")
-        cfg.update((key, _checked(key, value, cfg[key]) if key in cfg
-                    else value) for key, value in loaded.items())
+        # main reads and checks the master seed of a Monte Carlo subcommand
+        known = [*cfg, "seed"] if name in MC_COMMANDS else list(cfg)
+        for key, value in loaded.items():
+            if key not in known:
+                raise ValueError(f"unknown config key {key!r} for {name} "
+                                 f"(takes {', '.join(known)})")
+            cfg[key] = _checked(key, value, cfg[key]) if key in cfg else value
     cfg.update({k: v for k, v in overrides.items() if v is not None})
     return cfg
 
@@ -172,9 +177,13 @@ def _load_config(name: str, path: str | None, overrides: dict) -> dict:
 def _checked(key: str, value, default):
     """A loaded config value, checked against the JSON kind of its default:
     a number (not a boolean), a string, or an array of the kind of the
-    default's elements, where one value stands for a one-element array."""
+    default's elements, where one value stands for a one-element array;
+    an array is not empty."""
     many = isinstance(default, list)
     items = value if many and isinstance(value, list) else [value]
+    if not items:
+        raise ValueError(f"config key {key!r} must be a non-empty array, "
+                         "got []")
     text = isinstance(default[0] if many else default, str)
     for item in items:
         if isinstance(item, bool) or not isinstance(
@@ -464,8 +473,7 @@ _EVAL_FIXED = {
     "optimal-p1-numeric": {"p1": None},
 }
 # the only defaulted function parameters an op takes; the others (the
-# Jensen fallback, a sigma mapping, a prebuilt table) stay at their
-# defaults
+# Jensen fallback, a prebuilt table) stay at their defaults
 _EVAL_OPTIONAL = ("branch", "method", "protocol")
 # how a value is read, by annotation; any other parameter is a float
 _EVAL_TYPES = {int: int, Protocol: Protocol, QuantileMethod: QuantileMethod}

@@ -48,7 +48,6 @@ class MCReport:
     """
 
     n_trials: int
-    seed: int
     outage_rate: float
     cond_round2_outage: float
     cond_round2_se: float
@@ -118,7 +117,7 @@ def _outages(round_one, g2, p2, protocol: Protocol, limit: float):
     return total < limit
 
 
-def _finalize(n_trials, seed, n_round2, n_outage, power_sums, power_sqsums,
+def _finalize(n_trials, n_round2, n_outage, power_sums, power_sqsums,
               fallback_count=0) -> MCReport:
     if n_round2 > 0:
         cond = n_outage / n_round2
@@ -130,7 +129,7 @@ def _finalize(n_trials, seed, n_round2, n_outage, power_sums, power_sqsums,
     if n_trials > 1:
         var *= n_trials / (n_trials - 1)
     return MCReport(
-        n_trials=n_trials, seed=seed,
+        n_trials=n_trials,
         outage_rate=n_outage / n_trials,
         cond_round2_outage=cond, cond_round2_se=cond_se,
         avg_power=mean, avg_power_se=math.sqrt(var / n_trials),
@@ -177,8 +176,7 @@ def run_closed_loop(cfg: HarqConfig, sigma: float,
         p2 += p1
         sums += [(m - n) * p1, float(p2.sum())]
         sqsums += [(m - n) * p1 * p1, float(np.square(p2, out=p2).sum())]
-    return _finalize(n_trials, seed, n_round2, n_outage, sums, sqsums,
-                     fallback)
+    return _finalize(n_trials, n_round2, n_outage, sums, sqsums, fallback)
 
 
 def run_open_loop(P: float, rate: float, sigma: float, protocol: Protocol,
@@ -202,7 +200,7 @@ def run_open_loop(P: float, rate: float, sigma: float, protocol: Protocol,
             f"only {n_cond} of {n_trials} trials met g1 < theta/P "
             f"(P={P:.6g}, rate={rate}); conditional estimate unusable")
     # a conditioned trial spends 2P, every other one P
-    return _finalize(n_trials, seed, n_cond, n_out, [(n_trials + n_cond) * P],
+    return _finalize(n_trials, n_cond, n_out, [(n_trials + n_cond) * P],
                      [(n_trials + 3 * n_cond) * P * P])
 
 
@@ -227,7 +225,7 @@ def run_open_loop_conditional(P: float, rate: float, sigma: float,
         np.negative(np.log1p(g1, out=g1), out=g1)   # -log1p(-u p_cond)
         n_out += _round_two(rng, g1, sigma, P, P, protocol, rate)
     # every trial enters round two, one in p_cond of the unconditioned ones
-    rep = _finalize(n_trials, seed, n_trials, n_out, [], [])
+    rep = _finalize(n_trials, n_trials, n_out, [], [])
     return replace(rep, outage_rate=rep.cond_round2_outage * p_cond,
                    avg_power=math.nan, avg_power_se=math.nan)
 
@@ -240,7 +238,7 @@ def run_no_retx(P: float, rate: float, n_trials: int = 100_000,
     n_out = sum(np.count_nonzero(sample_g1(rng, size=m) * P < th)
                 for m, rng in batches)
     return MCReport(
-        n_trials=n_trials, seed=seed,
+        n_trials=n_trials,
         outage_rate=n_out / n_trials,
         cond_round2_outage=math.nan, cond_round2_se=math.nan,
         avg_power=P, avg_power_se=0.0,

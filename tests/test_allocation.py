@@ -330,13 +330,6 @@ class TestNumericOptimum:
         with pytest.raises(BracketError, match="not finite"):
             optimal_p1_numeric(cfg(), 0.8, QuantileMethod.ASYMPTOTIC)
 
-    def test_method_label(self, qcache):
-        c = cfg(rate=2.0, eps=1e-3)
-        sol = optimal_p1_numeric(c, 0.8, QuantileMethod.EXACT,
-                                 quantile=qcache.get(1e-3, 0.8))
-        assert sol.method == "numeric-exact"
-        assert sol.protocol is Protocol.RTD
-
 
 class TestSlope:
     """The slope the optimizer solves for: d avg/d p1 = 1 + the integral of
@@ -410,6 +403,43 @@ class TestProvableBracket:
     def test_exact_table(self, qcache, protocol):
         self.check(cfg(protocol, 2.0, 1e-3), 0.8, QuantileMethod.EXACT,
                    quantile=qcache.get(1e-3, 0.8))
+
+
+class TestRtdThetaScaling:
+    """RTD's round-two power (theta - g1 p1)/q(g1) makes the objective
+    theta (u + integral over [0, 1/u] of e^-g1 (1 - g1 u)/q(g1)) with
+    u = p1/theta, so the optimal p1/theta and avg/theta do not depend on
+    the rate."""
+
+    RATES = (0.5, 2.0, 10.0, 20.0)
+
+    @staticmethod
+    def spread_db(values):
+        db = [10.0 * math.log10(v) for v in values]
+        return max(db) - min(db)
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5])
+    @pytest.mark.parametrize("method", list(QuantileMethod))
+    def test_numeric_optimum(self, qcache, method, eps):
+        quantile = qcache.get(eps, 0.8, method)
+        p1, avg = [], []
+        for rate in self.RATES:
+            c = cfg(rate=rate, eps=eps)
+            sol = optimal_p1_numeric(c, 0.8, method, quantile=quantile)
+            p1.append(sol.p1 / c.theta)
+            avg.append(sol.avg_power / c.theta)
+        assert self.spread_db(avg) <= 1e-6
+        # brentq stops within 1e-3 dB of the root, from a bracket whose
+        # floor does not scale with theta
+        assert self.spread_db(p1) <= 2e-3
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5])
+    def test_closed_form(self, eps):
+        cfgs = [cfg(rate=rate, eps=eps) for rate in self.RATES]
+        sols = [optimal_p1_closed_form(c, 0.8) for c in cfgs]
+        for field in ("p1", "avg_power"):
+            assert self.spread_db([getattr(s, field) / c.theta
+                                   for s, c in zip(sols, cfgs)]) <= 1e-12
 
 
 @pytest.mark.parametrize("protocol", [Protocol.RTD, Protocol.INR])

@@ -31,15 +31,15 @@ class TestSigmaFromGeometry:
         v_star = d_a / DELTA
         assert sigma_from_geometry(v_star, DELTA, FC, d_a) == SIGMA_MIN
 
-    def test_alignment_speed_value(self):
-        # the mapping hook sees the mismatch |d_a - v delta|, which falls
-        # linearly to zero at the alignment speed
+    def test_alignment_speed_value(self, monkeypatch):
+        # with Jakes' model replaced by the identity, sigma is the mismatch
+        # |d_a - v delta|, which falls linearly to zero at the alignment
+        # speed
         d_a = 1.5 * WAVELENGTH
-
-        def mismatch(v_kmh):
-            return sigma_from_geometry(v_kmh / 3.6, DELTA, FC, d_a,
-                                       mapping=lambda d, lam: d)
-        d60, d100 = mismatch(60.0), mismatch(100.0)
+        with monkeypatch.context() as patch:
+            patch.setattr("paharq.channel.jakes_sigma", lambda d, lam: d)
+            d60, d100 = (sigma_from_geometry(v_kmh / 3.6, DELTA, FC, d_a)
+                         for v_kmh in (60.0, 100.0))
         v_star_kmh = 60.0 + 40.0 * d60 / (d60 - d100)
         assert v_star_kmh == pytest.approx(120.81, abs=0.01)
         assert sigma_from_geometry(v_star_kmh / 3.6, DELTA, FC, d_a) \
@@ -58,11 +58,6 @@ class TestSigmaFromGeometry:
         d_a = 1.5 * WAVELENGTH
         sigma = sigma_from_geometry(100.0, DELTA, FC, d_a)  # d ~ 0.33 m >> lambda/2
         assert sigma > 0.9
-
-    def test_custom_mapping_plugs_in(self):
-        sigma = sigma_from_geometry(10.0, DELTA, FC, 1.5 * WAVELENGTH,
-                                    mapping=lambda d, lam: 0.42)
-        assert sigma == 0.42
 
     def test_jakes_mapping_range(self):
         for d in np.linspace(0.0, 10 * WAVELENGTH, 50):

@@ -664,6 +664,67 @@ def test_config_seed_must_be_an_integer(tmp_path, capsys):
         capsys.readouterr().err
 
 
+# one-point grids, so that a config error that goes unnoticed costs little
+_SMALL_CONFIGS = {
+    "fig3": {"eps": [0.1], "rate": [0.5], "methods": ["closed-form"]},
+    "fig4": {"eps": [0.1], "rate": [0.5], "protocols": ["rtd"],
+             "trials": 100},
+    "fig5": {"v_kmh": [60.0], "d_a_wavelengths": [1.5],
+             "methods": ["closed-form"]},
+    "headline": {"rate": 0.5},
+    "mc-verify": {"eps": [0.01], "sigma": [0.8], "open_loop_rate": [2.0],
+                  "open_loop_power_db": [10.0], "trials": 1000},
+}
+
+
+def _run_config(tmp_path, command, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "o.csv")]
+    return main(argv + (["--seed", "1"] if command in cli.MC_COMMANDS else []))
+
+
+@pytest.mark.parametrize("command,key", [
+    *((command, "epss") for command in _SMALL_CONFIGS),
+    ("fig3", "seed"),       # only the Monte Carlo subcommands take a seed
+])
+def test_unknown_config_key_exits_one(tmp_path, capsys, command, key):
+    config = dict(_SMALL_CONFIGS[command], **{key: [0.1]})
+    assert _run_config(tmp_path, command, config) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: unknown config key {key!r} for {command} "
+                          "(takes ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("command", list(cli.MC_COMMANDS))
+def test_config_seed_key_is_the_master_seed(tmp_path, command):
+    outputs = []
+    for seed_key in ({"seed": 7}, {}):
+        config = dict(_SMALL_CONFIGS[command], **seed_key)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / f"{len(outputs)}.csv"
+        argv = [command, "--config", str(path), "--out", str(out)]
+        assert main(argv + ([] if seed_key else ["--seed", "7"])) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command,key", [
+    ("fig3", "eps"), ("fig3", "rate"), ("fig3", "protocols"),
+    ("fig3", "methods"), ("fig4", "protocols"), ("fig5", "v_kmh"),
+    ("mc-verify", "sigma"), ("mc-verify", "open_loop_power_db"),
+])
+def test_empty_config_array_exits_one(tmp_path, capsys, command, key):
+    config = dict(_SMALL_CONFIGS[command], **{key: []})
+    assert _run_config(tmp_path, command, config) == 1
+    assert capsys.readouterr().err == (
+        f"error: config key {key!r} must be a non-empty array, got []\n")
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_one_value_stands_for_a_one_element_grid(tmp_path):
     outputs = []
     for eps, methods in ((1e-2, "closed-form"), ([1e-2], ["closed-form"])):
