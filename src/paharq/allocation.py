@@ -4,8 +4,7 @@ The objective is p1 plus the exponentially weighted integral of the
 round-two rule over the round-one failure region.  Two first-class routes:
 
 * a numeric route against the quadrature objective with any quantile
-  method (the root of its slope on a provable bracket); the objective
-  takes one power or an array of them, and
+  method (the root of its slope on a provable bracket), and
 * the closed form: with the asymptotic quantile the objective integrates
   exactly, its stationary point lands on the lower Lambert branch, and the
   minimum average power follows by substitution.  For INR the closed form
@@ -108,62 +107,52 @@ def c_coefficient(eps: float, sigma: float) -> float:
     return -1.0 / (sigma * sigma * math.log1p(-eps))
 
 
-def avg_power_given_p1(p1, cfg: HarqConfig, sigma: float,
+def avg_power_given_p1(p1: float, cfg: HarqConfig, sigma: float,
                        method: QuantileMethod = QuantileMethod.EXACT,
-                       quantile: GainQuantile | None = None):
-    """Expected total power p1 + E[P2(g1); round one fails] at each power
-    of a float or 1-D array p1: p1 plus _integral's value, QuadratureError
-    if its error estimate exceeds 1e-6 max(value, p1).  A float gives a
-    float, bit for bit the element of an array call.  For INR with the
-    ASYMPTOTIC method the integrand keeps the Jensen numerator floored at
-    zero (the convention whose integral the closed form reproduces; the
-    simulator-side fallback is a separate choice).
+                       quantile: GainQuantile | None = None) -> float:
+    """Expected total power p1 + E[P2(g1); round one fails]: p1 plus
+    _integral's value, QuadratureError if its error estimate exceeds
+    1e-6 max(value, p1).  For INR with the ASYMPTOTIC method the integrand
+    keeps the Jensen numerator floored at zero (the convention whose
+    integral the closed form reproduces; the simulator-side fallback is a
+    separate choice).
     """
-    p1s = np.asarray(p1, dtype=float).reshape(-1)
-    if not np.all(p1s > 0):
-        raise ValueError(f"p1 must be > 0, got {p1s.min()}")
+    if not p1 > 0:
+        raise ValueError(f"p1 must be > 0, got {p1}")
     rule = P2Rule(cfg, sigma, method, jensen_fallback=False, quantile=quantile)
-    y = p1s + _integral(rule, rule, p1s, p1s)
-    return float(y[0]) if np.ndim(p1) == 0 else y
+    return p1 + _integral(rule, rule, p1, p1)
 
 
-def _integral(rule: P2Rule, integrand, p1s: np.ndarray, base) -> np.ndarray:
-    """Per power of p1s: the integral of e^-g1 integrand(g1, p1), with
-    integrand `rule` or `rule.slope`, over [0, min(theta/p1, G_MAX)].
+def _integral(rule: P2Rule, integrand, p1: float, base: float) -> float:
+    """The integral of e^-g1 integrand(g1, p1), with integrand `rule` or
+    `rule.slope`, over [0, min(theta/p1, G_MAX)].
 
     A 7/15-point Gauss-Kronrod rule on fixed panels (_EDGES: 0, halvings of
     the first table knot, then the exact quantile table's knots), clipped
-    at each power's upper limit, so no panel straddles a knot of the
-    piecewise-cubic table; where the rule's numerator is INR's Jensen one,
-    one more edge sits at its kink theta1/p1.  The summed
-    |Kronrod - Gauss| panel differences are the error estimate;
-    QuadratureError if it exceeds 1e-6 max(|value|, base) at any power.
+    at the upper limit, so no panel straddles a knot of the piecewise-cubic
+    table; where the rule's numerator is INR's Jensen one, one more edge
+    sits at its kink theta1/p1.  Without a kink that edge adds a zero-width
+    panel at the upper limit, kept because the panel count sets the order
+    of the sums.  The summed |Kronrod - Gauss| panel differences are the
+    error estimate; QuadratureError if it exceeds 1e-6 max(|value|, base).
     """
     cfg = rule.cfg
-    g_hi = np.minimum(cfg.theta / p1s, G_MAX)
-    split = np.minimum(cfg.theta1 / p1s, g_hi) if rule.jensen else g_hi
-    val = np.empty(p1s.size)
-    err = np.empty(p1s.size)
-    for i, p1 in enumerate(p1s):
-        # one power at a time, so each value is the one it has on its own;
-        # without a kink the split edge adds a zero-width panel at g_hi,
-        # kept because the panel count sets the order of the sums
-        edges = _EDGES[:int(np.searchsorted(_EDGES, g_hi[i])) + 1]
-        edges = np.sort(np.append(np.minimum(edges, g_hi[i]), split[i]))
-        half = 0.5 * np.diff(edges)[:, None]
-        x = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * _XK
-        f = half * np.exp(-x) * integrand(x, p1)
-        kronrod = f @ _WK
-        val[i] = kronrod.sum()
-        err[i] = np.abs(kronrod - f[:, 1::2] @ _WG).sum()
-    bad = err > 1e-6 * np.maximum(np.abs(val), base)
-    if bad.any():
-        i = int(np.argmax(bad))
+    g_hi = min(cfg.theta / p1, G_MAX)
+    split = min(cfg.theta1 / p1, g_hi) if rule.jensen else g_hi
+    edges = _EDGES[:int(np.searchsorted(_EDGES, g_hi)) + 1]
+    edges = np.sort(np.append(np.minimum(edges, g_hi), split))
+    half = 0.5 * np.diff(edges)[:, None]
+    x = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * _XK
+    f = half * np.exp(-x) * integrand(x, p1)
+    kronrod = f @ _WK
+    val = kronrod.sum()
+    err = np.abs(kronrod - f[:, 1::2] @ _WG).sum()
+    if err > 1e-6 * max(abs(val), base):
         raise QuadratureError(
-            f"integral error estimate {err[i]:.3g} too large for value "
-            f"{val[i]:.6g} (p1={p1s[i]:.6g}, sigma={rule.sigma}, "
+            f"integral error estimate {err:.3g} too large for value "
+            f"{val:.6g} (p1={p1:.6g}, sigma={rule.sigma}, "
             f"method={rule.method.value})")
-    return val
+    return float(val)
 
 
 def closed_form_avg_power(p1: float, cfg: HarqConfig, sigma: float) -> float:
@@ -239,8 +228,7 @@ def optimal_p1_numeric(cfg: HarqConfig, sigma: float,
 
     @functools.cache    # brentq evaluates the floor again
     def slope(t):       # d avg/d p1 at p1 = e^t
-        p1 = np.array([math.exp(t)])
-        return 1.0 + float(_integral(rule, rule.slope, p1, 1.0)[0])
+        return 1.0 + _integral(rule, rule.slope, math.exp(t), 1.0)
     t_lo = math.log(_P1_FLOOR)
     bound = avg(cfg.theta / -math.log1p(-cfg.eps))
     if bound <= _P1_FLOOR or not slope(t_lo) < 0.0:

@@ -86,6 +86,8 @@ def open_loop_outage_exact(P: float, rate: float, sigma: float,
     """
     _check(P, sigma)
     u = theta(rate) / P
+    if u <= 0.0:    # a zero rate or an infinite power never fails round one
+        return 0.0
     if protocol is Protocol.RTD:
         arg = lambda x: u - x
     else:

@@ -60,14 +60,19 @@ def sigma_from_geometry(v: float, delta: float, f_c: float,
 
     v is the vehicle speed [m/s], delta the processing delay between probe
     and data [s], f_c the carrier frequency [Hz] and d_a the antenna
-    separation [m]; each must be > 0.  The mismatch distance
-    d = |d_a - v delta| goes through the Jakes correlation model.
+    separation [m]; each must be > 0, f_c finite.  The mismatch distance
+    d = |d_a - v delta|, also finite, goes through the Jakes correlation model.
     """
     for name, value in (("v", v), ("delta", delta), ("f_c", f_c),
                         ("d_a", d_a)):
         if not value > 0:
             raise ValueError(f"{name} must be > 0")
-    sigma = jakes_sigma(abs(d_a - v * delta), SPEED_OF_LIGHT / f_c)
+    if f_c == math.inf:
+        raise ValueError("f_c must be finite")
+    d = abs(d_a - v * delta)
+    if not math.isfinite(d):
+        raise ValueError(f"mismatch distance |d_a - v delta| is {d}")
+    sigma = jakes_sigma(d, SPEED_OF_LIGHT / f_c)
     return min(max(sigma, SIGMA_MIN), 1.0)
 
 
@@ -221,3 +226,5 @@ def _add_g2_quadrature(rng: np.random.Generator, g2, scale: float):
 def _check_sigma(sigma: float) -> None:
     if not 0.0 < sigma <= 1.0:
         raise ValueError(f"sigma must be in (0, 1], got {sigma}")
+    if sigma < SIGMA_MIN:
+        raise ValueError(f"sigma must be >= {SIGMA_MIN}, got {sigma}")

@@ -93,7 +93,7 @@ def _round_two_numerator(protocol: Protocol, cfg: HarqConfig, jensen: bool,
     numerator, used when `jensen`, is nonpositive (all False otherwise).
     There the exact numerator stands in if `jensen_fallback` (the
     transmitter must still spend power); zero is the convention the closed
-    forms integrate.  g1 and p1 broadcast.
+    forms integrate.  g1 is a float or an array; p1 is one power.
     """
     gap = cfg.theta - g1 * p1
     failed = gap > 0.0
@@ -150,8 +150,8 @@ class P2Rule:
 
     Wraps a shared GainQuantile so Monte Carlo batches and quadrature reuse
     one table.  `jensen_fallback` mirrors p2_inr.  The round-one power is
-    cfg.p1 unless a call passes its own (possibly an array broadcasting
-    against g1), so one rule serves every power of an optimization.
+    cfg.p1 unless a call passes its own, so one rule serves every power
+    of an optimization.
     `jensen` is True exactly when the numerator is INR's Jensen numerator,
     that is for INR with the ASYMPTOTIC quantile; the slope, the
     quadrature's kink edge and the simulator's fallback count read it.

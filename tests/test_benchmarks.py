@@ -99,6 +99,14 @@ class TestZetaClosed:
         assert open_loop_outage_exact(P, 2.0, 0.8, protocol) == pytest.approx(
             1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    @pytest.mark.parametrize("P,rate", [(1.0, 0.0), (math.inf, 1.0)])
+    def test_exact_is_zero_without_round_one_failure(self, protocol, P,
+                                                     rate):
+        # theta/P = 0: round one never fails, the closed form's u <= 0 value
+        assert open_loop_outage_exact(P, rate, 0.8, protocol) == 0.0
+        assert zeta_rtd_closed(P, rate, 0.8) == 0.0
+
     def test_inr_is_rtd_at_jensen_threshold(self):
         P, rate, sigma = 30.0, 2.0, 0.8
         u1 = theta1(rate) / P

@@ -53,6 +53,18 @@ class TestSigmaFromGeometry:
         with pytest.raises(ValueError, match=f"^{name} must be > 0$"):
             sigma_from_geometry(**geometry)
 
+    @pytest.mark.parametrize("v,delta,d_a", [
+        (math.inf, 1.0, 1.0), (1e308, 10.0, 1.0), (30.0, DELTA, math.inf),
+        (math.inf, 1.0, math.inf)])
+    def test_infinite_mismatch_rejected(self, v, delta, d_a):
+        # Jakes' correlation has no value at an infinite distance
+        with pytest.raises(ValueError, match="mismatch distance"):
+            sigma_from_geometry(v, delta, 1e9, d_a)
+
+    def test_infinite_carrier_rejected(self):
+        with pytest.raises(ValueError, match="^f_c must be finite$"):
+            sigma_from_geometry(30.0, DELTA, math.inf, 3.0)
+
     def test_large_mismatch_weak_correlation(self):
         # several wavelengths of mismatch: sigma near its mapping's maximum
         d_a = 1.5 * WAVELENGTH
@@ -62,6 +74,26 @@ class TestSigmaFromGeometry:
     def test_jakes_mapping_range(self):
         for d in np.linspace(0.0, 10 * WAVELENGTH, 50):
             assert 0.0 <= jakes_sigma(d, WAVELENGTH) <= 1.0
+
+
+class TestSigmaFloor:
+    """Below SIGMA_MIN, sigma^2 underflows or the closed forms lose their
+    meaning; every sigma-taking function rejects it as it does sigma > 1."""
+
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-200, 0.5 * SIGMA_MIN])
+    @pytest.mark.parametrize("call", [
+        lambda s: cond_cdf_g2(0.1, 1.0, s),
+        lambda s: inv_cond_cdf_g2(1e-2, 1.0, s, QuantileMethod.ASYMPTOTIC),
+        lambda s: GainQuantile(1e-2, s, QuantileMethod.WEIBULL),
+        lambda s: sample_g2_given_g1(np.random.default_rng(0), 1.0, s),
+    ], ids=["cond_cdf_g2", "inv_cond_cdf_g2", "GainQuantile",
+            "sample_g2_given_g1"])
+    def test_rejected(self, call, sigma):
+        with pytest.raises(ValueError, match="sigma must be >= 0.001"):
+            call(sigma)
+
+    def test_floor_itself_accepted(self):
+        assert 0.0 < cond_cdf_g2(1.0, 1.0, SIGMA_MIN) < 1.0
 
 
 class TestConditionalCdf:

@@ -516,6 +516,41 @@ def test_eval_nan_input_exits_one(argv, capsys):
     assert captured.err.startswith("error: ")
 
 
+_BELOW_FLOOR = "error: sigma must be >= 0.001, got 1e-300\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["cond-cdf-g2", "x=0.1", "g1=1"],
+    ["closed-form-avg-power", "p1=30", "protocol=rtd", "rate=2", "eps=1e-2"],
+    ["optimal-p1-closed-form", "protocol=rtd", "rate=2", "eps=1e-2"],
+    ["zeta-rtd-closed", "P=10", "rate=1"],
+    ["open-loop-outage-exact", "P=10", "rate=1"],
+    ["p2-rtd", "g1=0.5", "rate=2", "eps=1e-2", "p1=3", "method=asymptotic"],
+], ids=lambda argv: argv[0])
+def test_eval_sigma_below_floor_exits_one(argv, capsys):
+    assert main(["eval", *argv, "sigma=1e-300"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == _BELOW_FLOOR
+
+
+@pytest.mark.parametrize("argv", [
+    ["v=inf", "delta=1", "f_c=1e9", "d_a=1"],
+    ["v=1e308", "delta=10", "f_c=1e9", "d_a=1"],
+])
+def test_eval_infinite_mismatch_distance_exits_one(argv, capsys):
+    assert main(["eval", "sigma-from-geometry", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: mismatch distance |d_a - v delta| is inf\n"
+
+
+@pytest.mark.parametrize("argv", [["P=1", "rate=0"], ["P=inf", "rate=1"]])
+def test_eval_open_loop_outage_without_round_one_failure(argv, capsys):
+    assert main(["eval", "open-loop-outage-exact", *argv, "sigma=0.8"]) == 0
+    row = dict(zip(COLUMNS, capsys.readouterr().out.splitlines()[1].split(",")))
+    assert float(row["estimate"]) == 0.0 and row["error"] == ""
+
+
 @pytest.mark.parametrize("argv,message", [
     (["marcum-q1", "s=1e5", "rho=1e5"], "s=100000.0, rho=100000.0"),
     (["marcum-q1", "s=1e300", "rho=1e300"], "s=1e+300, rho=1e+300"),
@@ -555,6 +590,50 @@ def test_sigma_outside_unit_interval_exits_one(tmp_path, capsys, method):
                  "--out", str(out)]) == 1
     assert "sigma must be in (0, 1], got 1.5" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,config", [
+    ("fig3", {"sigma": 1e-300, "eps": [0.1], "rate": [1.0],
+              "methods": ["closed-form"]}),
+    ("headline", {"sigma": 1e-300}),
+])
+def test_sigma_below_floor_exits_one(tmp_path, capsys, command, config):
+    # sigma^2 underflows below ~1.5e-154; the floor SIGMA_MIN rejects it
+    # the way sigma = 1.5 is rejected
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == _BELOW_FLOOR
+    assert not out.exists()
+
+
+def test_fig4_sigma_below_floor_is_error_row(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"sigma": 1e-200, "eps": [0.1],
+                                  "rate": [1.0], "trials": 1000}))
+    out = tmp_path / "fig4.csv"
+    assert main(["fig4", "--seed", "1", "--config", str(config),
+                 "--out", str(out)]) == 2
+    rows = read_csv(out)
+    closed = [r for r in rows if r["method"] == "closed-form"]
+    assert len(closed) == 2
+    assert all("sigma must be >= 0.001" in r["error"] for r in closed)
+
+
+def test_mc_verify_open_loop_sigma_below_floor_keeps_closed_loop(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"open_loop_sigma": 1e-300, "eps": [0.1],
+                                  "sigma": [1.0]}))
+    out = tmp_path / "mc.csv"
+    assert main(["mc-verify", "--seed", "1", "--trials", "1000", "--config",
+                 str(config), "--out", str(out)]) == 2
+    rows = read_csv(out)
+    closed_loop = [r for r in rows if r["sigma"] == "1"]
+    open_loop = [r for r in rows if r["sigma"] == "1e-300"]
+    assert closed_loop and not any(r["error"] for r in closed_loop)
+    assert open_loop
+    assert all("sigma must be >= 0.001" in r["error"] for r in open_loop)
 
 
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
