@@ -119,6 +119,9 @@ def avg_power_given_p1(p1: float, cfg: HarqConfig, sigma: float,
     """
     if not p1 > 0:
         raise ValueError(f"p1 must be > 0, got {p1}")
+    if p1 == math.inf:      # empty integral, but its node g1 = 0 gives 0 * inf
+        _check_sigma(sigma)
+        return p1
     rule = P2Rule(cfg, sigma, method, jensen_fallback=False, quantile=quantile)
     return p1 + _integral(rule, rule, p1, p1)
 
@@ -164,6 +167,8 @@ def closed_form_avg_power(p1: float, cfg: HarqConfig, sigma: float) -> float:
     if not p1 > 0:
         raise ValueError(f"p1 must be > 0, got {p1}")
     _check_sigma(sigma)
+    if p1 == math.inf:      # the second term would be inf * 0
+        return p1
     m = m_coefficient(sigma)
     c = c_coefficient(cfg.eps, sigma)
     th = cfg.theta if cfg.protocol is Protocol.RTD else cfg.theta1

@@ -197,26 +197,30 @@ def sample_g2_given_g1(rng: np.random.Generator, g1, sigma: float):
     return _add_g2_quadrature(rng, g2, scale)
 
 
-def _g2_in_phase(rng: np.random.Generator, g1, sigma: float):
+def _g2_in_phase(rng: np.random.Generator, g1, sigma: float, out=None,
+                 work=None):
     """g2 | g1 at y = 0, the in-phase square of `sample_g2_given_g1`,
     drawing one x per g1; and the scale sigma / sqrt 2 of the quadrature
-    term."""
+    term.  g2 is written into `out` and sqrt(g1) into `work` where given
+    (arrays of g1's shape), else into new arrays."""
     _check_sigma(sigma)
     g1 = np.asarray(g1, dtype=float)
     scale = sigma * math.sqrt(0.5)
-    g2 = rng.standard_normal(g1.shape)
+    g2 = rng.standard_normal(g1.shape, out=out)
     g2 *= scale
-    mean = np.sqrt(g1)
+    mean = np.sqrt(g1, out=work)
     mean *= math.sqrt(1.0 - sigma * sigma)
     g2 += mean
     np.square(g2, out=g2)
     return g2, scale
 
 
-def _add_g2_quadrature(rng: np.random.Generator, g2, scale: float):
+def _add_g2_quadrature(rng: np.random.Generator, g2, scale: float,
+                       work=None):
     """Add the quadrature square (scale y)^2 to g2 in place, drawing one y
-    per value; returns g2."""
-    y = rng.standard_normal(g2.shape)
+    per value into `work` (an array of g2's shape) where given, else into
+    a new array; returns g2."""
+    y = rng.standard_normal(g2.shape, out=work)
     y *= scale
     np.square(y, out=y)
     g2 += y

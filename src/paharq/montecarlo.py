@@ -15,9 +15,19 @@ overwrites its draws in place and counts with count_nonzero; the closed
 loop sorts its round-two g1 before the rule's table lookups.  Power
 totals are reduced with math.fsum (exactly rounded, hence
 order-independent).
+
+The round-one screen, the round-two step and the conditional sampler's
+g1 draw write their batch-sized temporaries into work arrays of
+BATCH_SIZE elements, created once per thread and handed out as [:n]
+views: fresh 512 KiB arrays per batch cost every 1e5-trial run hundreds
+of minor page faults, as the allocator mapped each one, or trimmed the
+heap after use, page by page.  The work arrays take the same values
+through the same operations, so no result moves, and they are
+thread-local, so simulators still run in several threads at once.
 """
 
 import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,6 +40,32 @@ from .harq import (HarqConfig, P2Rule, PaharqError, Protocol, _require_p1,
 BATCH_SIZE = 1 << 16
 # run_open_loop's conditional estimate needs this many round-two trials
 _MIN_CONDITIONED = 100
+
+
+class _WorkArrays:
+    """One thread's work arrays, each of BATCH_SIZE elements.  `g1` holds
+    the conditional sampler's g1; `g2` the round-two step's x, later its y
+    and last its second outage sums; `total` the round-one screen's g1 p1,
+    then sqrt(g1) and the first outage sums; `g2_open`, `p2_open` and
+    `g1_open` the g2, p2 and round-one term of the trials still open at
+    y = 0; and `mask` each screen's mask."""
+
+    def __init__(self):
+        (self.g1, self.g2, self.total, self.g2_open, self.p2_open,
+         self.g1_open) = (np.empty(BATCH_SIZE) for _ in range(6))
+        self.mask = np.empty(BATCH_SIZE, dtype=bool)
+
+
+_THREAD = threading.local()
+
+
+def _work() -> _WorkArrays:
+    """This thread's work arrays, made when it first simulates."""
+    try:
+        return _THREAD.work
+    except AttributeError:
+        _THREAD.work = _WorkArrays()
+        return _THREAD.work
 
 
 class DegenerateConditioningError(PaharqError, RuntimeError):
@@ -79,6 +115,14 @@ def _streams(n_trials: int, seed: int, P: float):
     return ((m, _batch_rng(seed, j)) for j, m in _batches(n_trials))
 
 
+def _fails_round_one(g1, p1: float, th: float):
+    """Mask of the round-one gains g1 that fail at power p1 (g1 p1 < th),
+    a view of this thread's work arrays, as is the product."""
+    n, work = g1.size, _work()
+    return np.less(np.multiply(g1, p1, out=work.total[:n]), th,
+                   out=work.mask[:n])
+
+
 def _round_two(rng, g1, sigma: float, p1: float, p2, protocol: Protocol,
                rate: float) -> int:
     """Trials still in outage after round two, for the round-one gains g1
@@ -91,30 +135,42 @@ def _round_two(rng, g1, sigma: float, p1: float, p2, protocol: Protocol,
     at y = 0 decodes at every y; rounding keeps that order.  So every trial
     draws its x, and only the trials that stay in outage at y = 0 draw a y:
     each count is bit for bit the one of the full g2 on the same (x, y).
+    Every temporary is a view of this thread's work arrays.
     """
-    g2, scale = _g2_in_phase(rng, g1, sigma)
+    n, work = g1.size, _work()
+    g2, scale = _g2_in_phase(rng, g1, sigma, out=work.g2[:n],
+                             work=work.total[:n])
     g1 *= p1
     if protocol is Protocol.INR:
         np.log1p(g1, out=g1)
         limit = rate
     else:
         limit = theta(rate)
-    open_ = np.flatnonzero(_outages(g1, g2, p2, protocol, limit))
-    g2 = _add_g2_quadrature(rng, g2.take(open_), scale)
+    open_ = np.flatnonzero(_outages(g1, g2, p2, protocol, limit,
+                                    work.total[:n], work.mask[:n]))
+    k = open_.size
+    # mode="clip" writes into out directly; "raise" would buffer it
+    g2 = _add_g2_quadrature(
+        rng, g2.take(open_, out=work.g2_open[:k], mode="clip"), scale,
+        work=work.g2[:k])
     if np.ndim(p2):
-        p2 = p2.take(open_)
-    return np.count_nonzero(_outages(g1.take(open_), g2, p2, protocol, limit))
+        p2 = p2.take(open_, out=work.p2_open[:k], mode="clip")
+    round_one = g1.take(open_, out=work.g1_open[:k], mode="clip")
+    return np.count_nonzero(_outages(round_one, g2, p2, protocol, limit,
+                                     work.g2[:k], work.mask[:k]))
 
 
-def _outages(round_one, g2, p2, protocol: Protocol, limit: float):
-    """Mask of the trials in outage: round one's SNR g1 p1 (RTD) or mutual
-    information log(1 + g1 p1) (INR) plus round two's at g2, below the
-    threshold (RTD) or the rate (INR)."""
-    total = g2 * p2
+def _outages(round_one, g2, p2, protocol: Protocol, limit: float, total,
+             out):
+    """Mask of the trials in outage, written into `out`: round one's SNR
+    g1 p1 (RTD) or mutual information log(1 + g1 p1) (INR) plus round
+    two's at g2 (summed in `total`), below the threshold (RTD) or the rate
+    (INR)."""
+    np.multiply(g2, p2, out=total)
     if protocol is Protocol.INR:
         np.log1p(total, out=total)
     total += round_one
-    return total < limit
+    return np.less(total, limit, out=out)
 
 
 def _finalize(n_trials, n_round2, n_outage, power_sums, power_sqsums,
@@ -160,7 +216,7 @@ def run_closed_loop(cfg: HarqConfig, sigma: float,
     sums, sqsums = [], []
     for m, rng in batches:
         g1 = sample_g1(rng, size=m)
-        g1 = g1[g1 * p1 < th]
+        g1 = g1[_fails_round_one(g1, p1, th)]
         # in ascending order the table lookups of the rule walk its knots in
         # turn (~3x faster); how many y normals round two draws depends on
         # g1, but no normal's value does, so the law of the (g1, g2) pairs,
@@ -192,7 +248,7 @@ def run_open_loop(P: float, rate: float, sigma: float, protocol: Protocol,
     n_cond = n_out = 0
     for m, rng in batches:
         g1 = sample_g1(rng, size=m)
-        g1 = g1[g1 * P < th]
+        g1 = g1[_fails_round_one(g1, P, th)]
         n_cond += g1.size
         n_out += _round_two(rng, g1, sigma, P, P, protocol, rate)
     if n_cond < _MIN_CONDITIONED:
@@ -218,9 +274,9 @@ def run_open_loop_conditional(P: float, rate: float, sigma: float,
     """
     batches = _streams(n_trials, seed, P)
     p_cond = -math.expm1(-theta(rate) / P)
-    n_out = 0
+    n_out, work = 0, _work()
     for m, rng in batches:
-        g1 = rng.random(m)
+        g1 = rng.random(out=work.g1[:m])
         g1 *= -p_cond
         np.negative(np.log1p(g1, out=g1), out=g1)   # -log1p(-u p_cond)
         n_out += _round_two(rng, g1, sigma, P, P, protocol, rate)

@@ -98,6 +98,15 @@ class TestAveragePower:
             assert closed_form_avg_power(p1, c, 0.8) == pytest.approx(
                 p1, rel=1e-4)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_infinite_p1_is_infinite(self, protocol):
+        # inf * 0 gave NaN in the closed form and a warning in the quadrature
+        c = cfg(protocol=protocol)
+        assert closed_form_avg_power(math.inf, c, 0.8) == math.inf
+        for method in QuantileMethod:
+            assert avg_power_given_p1(math.inf, c, 0.8, method) == math.inf
+
     def test_rejects_nonpositive_p1(self):
         for p1 in (0.0, math.nan):
             with pytest.raises(ValueError):

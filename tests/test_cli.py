@@ -551,6 +551,19 @@ def test_eval_open_loop_outage_without_round_one_failure(argv, capsys):
     assert float(row["estimate"]) == 0.0 and row["error"] == ""
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("op", ["closed-form-avg-power",
+                                "avg-power-given-p1"])
+def test_eval_infinite_p1_is_infinite(op, capsys):
+    argv = [op, "p1=inf", "protocol=rtd", "rate=2", "eps=1e-3", "sigma=0.8"]
+    if op == "avg-power-given-p1":
+        argv.append("method=asymptotic")
+    assert main(["eval", *argv]) == 0
+    captured = capsys.readouterr()
+    row = dict(zip(COLUMNS, captured.out.splitlines()[1].split(",")))
+    assert row["estimate"] == "inf" and captured.err == ""
+
+
 @pytest.mark.parametrize("argv,message", [
     (["marcum-q1", "s=1e5", "rho=1e5"], "s=100000.0, rho=100000.0"),
     (["marcum-q1", "s=1e300", "rho=1e300"], "s=1e+300, rho=1e+300"),

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,6 +170,87 @@ class TestBatchKernels:
         assert count == np.count_nonzero(_outage(g1, g2, p1, p2, protocol,
                                                  rate))
         assert rng.standard_normal() == normals[n + k]
+
+
+# the three two-round simulators, each at its own seed; the closed loop
+# takes its EXACT table from the caller
+_WORK_RUNS = {
+    "closed-loop": lambda n, seed, q: run_closed_loop(
+        HarqConfig(Protocol.INR, 1.0, 1e-2, 1.0), 0.8, n_trials=n, seed=seed,
+        quantile=q),
+    "open-loop": lambda n, seed, q: run_open_loop(
+        10.0, 2.0, 0.8, Protocol.INR, n_trials=n, seed=seed),
+    "open-loop-conditional": lambda n, seed, q: run_open_loop_conditional(
+        10.0, 2.0, 0.8, Protocol.RTD, n_trials=n, seed=seed),
+}
+
+
+class TestWorkArrays:
+    # the simulators write their batch temporaries into per-thread arrays
+    # kept between calls; nothing a call leaves there may reach a report
+
+    def test_repeated_and_interleaved_calls_match_a_fresh_process(
+            self, qcache):
+        code = ("import sys; sys.path.insert(0, sys.argv[1]);"
+                " import test_montecarlo as t;"
+                " from paharq.channel import GainQuantile;"
+                " q = GainQuantile(1e-2, 0.8);"
+                " [print(repr(run(n, 84, q))) for run in t._WORK_RUNS.values()"
+                " for n in (100_000, 1_000)]")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(montecarlo.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(Path(__file__).parent)],
+            env=env, capture_output=True, text=True,
+            check=True).stdout.splitlines()
+        fresh = dict(zip([(name, n) for name in _WORK_RUNS
+                          for n in (100_000, 1_000)], out))
+        q = qcache.get(1e-2, 0.8)
+        for _ in range(2):
+            for n in (100_000, 1_000, 100_000):
+                for name, run in _WORK_RUNS.items():
+                    assert repr(run(n, 84, q)) == fresh[name, n], (name, n)
+
+    def test_threads_get_the_reports_of_sequential_runs(self, qcache):
+        # more threads than cores, switching often, each at its own seeds
+        q = qcache.get(1e-2, 0.8)
+        calls = [(run, n) for run in _WORK_RUNS.values()
+                 for n in (100_000, 3_000)]
+        seeds = range(85, 89)
+        sequential = [[run(n, seed, q) for run, n in calls] for seed in seeds]
+        threaded = [None] * len(seeds)
+        start = threading.Barrier(len(seeds))
+
+        def work(t, seed):
+            start.wait()
+            threaded[t] = [run(n, seed, q) for run, n in calls]
+
+        threads = [threading.Thread(target=work, args=item)
+                   for item in enumerate(seeds)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert threaded == sequential
+
+    def test_warm_runs_take_no_page_faults(self):
+        # allocating every batch's temporaries afresh cost ~450 minor page
+        # faults per 100 000-trial run of the conditional open loop
+        resource = pytest.importorskip("resource")
+        run = _WORK_RUNS["open-loop-conditional"]
+        for seed in range(3):
+            run(100_000, seed, None)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for seed in range(20):
+            run(100_000, seed, None)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 100
 
 
 class TestBatchStreams:
