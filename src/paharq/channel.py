@@ -193,20 +193,19 @@ def sample_g2_given_g1(rng: np.random.Generator, g1, sigma: float):
     with x and y standard normals: a call draws g1.size values of x, then
     g1.size values of y, from `rng`.
     """
-    g2, scale = _g2_in_phase(rng, g1, sigma)
+    g1 = np.asarray(g1, dtype=float)
+    g2, scale = _g2_in_phase(rng.standard_normal(g1.shape), g1, sigma)
     return _add_g2_quadrature(rng, g2, scale)
 
 
-def _g2_in_phase(rng: np.random.Generator, g1, sigma: float, out=None,
-                 work=None):
+def _g2_in_phase(x, g1, sigma: float, work=None):
     """g2 | g1 at y = 0, the in-phase square of `sample_g2_given_g1`,
-    drawing one x per g1; and the scale sigma / sqrt 2 of the quadrature
-    term.  g2 is written into `out` and sqrt(g1) into `work` where given
-    (arrays of g1's shape), else into new arrays."""
+    written over the array of normals x (one per g1); and the scale
+    sigma / sqrt 2 of the quadrature term.  sqrt(g1) goes into `work`
+    where given (an array of g1's shape), else into a new array."""
     _check_sigma(sigma)
-    g1 = np.asarray(g1, dtype=float)
     scale = sigma * math.sqrt(0.5)
-    g2 = rng.standard_normal(g1.shape, out=out)
+    g2 = x
     g2 *= scale
     mean = np.sqrt(g1, out=work)
     mean *= math.sqrt(1.0 - sigma * sigma)

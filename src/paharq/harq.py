@@ -89,24 +89,25 @@ class HarqConfig:
 def _round_two_numerator(protocol: Protocol, cfg: HarqConfig, jensen: bool,
                          g1, p1, jensen_fallback: bool = True):
     """Numerator of P2 = numerator / quantile (p2_rtd and p2_inr give the
-    formulas), and the mask of failed round-one points where INR's Jensen
-    numerator, used when `jensen`, is nonpositive (all False otherwise).
-    There the exact numerator stands in if `jensen_fallback` (the
-    transmitter must still spend power); zero is the convention the closed
-    forms integrate.  g1 is a float or an array; p1 is one power.
+    formulas), and, when `jensen`, the mask of failed round-one points
+    where INR's Jensen numerator is nonpositive (None otherwise).  There
+    the exact numerator stands in if `jensen_fallback` (the transmitter
+    must still spend power); zero is the convention the closed forms
+    integrate.  Where round one decoded every numerator is <= 0 or NaN,
+    and every caller takes those as zero power.  g1 is a float or an
+    array; p1 is one power.
     """
-    gap = cfg.theta - g1 * p1
-    failed = gap > 0.0
-    fallback = np.zeros(np.shape(failed), dtype=bool)
+    snr = g1 * p1
+    gap = cfg.theta - snr
     if protocol is Protocol.RTD:
-        return np.where(failed, gap, 0.0), fallback
-    num = np.where(failed, gap / (1.0 + g1 * p1), 0.0)
-    if jensen:
-        jensen = cfg.theta1 - g1 * p1
-        fallback = failed & (jensen <= 0.0)
-        jensen = np.where(failed & ~fallback, jensen, 0.0)
-        num = np.where(fallback, num, jensen) if jensen_fallback else jensen
-    return num, fallback
+        return gap, None
+    num = gap / (1.0 + snr)
+    if not jensen:
+        return num, None
+    jensen = cfg.theta1 - snr
+    fallback = (gap > 0.0) & (jensen <= 0.0)
+    return (np.where(fallback, num, jensen) if jensen_fallback
+            else jensen), fallback
 
 
 def _p2(protocol, jensen, g1, cfg, sigma, method, jensen_fallback=True):
@@ -115,7 +116,7 @@ def _p2(protocol, jensen, g1, cfg, sigma, method, jensen_fallback=True):
         raise ValueError(f"g1 must be >= 0, got {g1}")
     num, _ = _round_two_numerator(protocol, cfg, jensen, g1, _require_p1(cfg),
                                   jensen_fallback)
-    if num <= 0.0:
+    if not num > 0.0:
         return 0.0
     return float(num / inv_cond_cdf_g2(cfg.eps, g1, sigma, method))
 
@@ -180,8 +181,10 @@ class P2Rule:
 
     def jensen_fallback_mask(self, g1) -> np.ndarray:
         """Failed-round-one points where the Jensen numerator is nonpositive."""
-        return self._numerator(np.asarray(g1, dtype=float),
-                               _require_p1(self.cfg))[1]
+        g1, p1 = np.asarray(g1, dtype=float), _require_p1(self.cfg)
+        if not self.jensen:
+            return np.zeros(g1.shape, dtype=bool)
+        return self._numerator(g1, p1)[1]
 
     def __call__(self, g1, p1=None) -> np.ndarray:
         g1 = np.asarray(g1, dtype=float)

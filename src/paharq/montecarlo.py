@@ -4,20 +4,30 @@ Every run is deterministic given (parameters, seed): trials are organized
 in fixed-size batches and batch j draws from its own SFC64 stream, seeded
 by SeedSequence(seed, spawn_key=(j,)), so batch streams are independent,
 a whole batch is the same regardless of n_trials, and whole batches can
-be farmed out to workers without changing any result.  Each batch draws
-its g1 first, sized by its own trial count: those are the first values
-of its stream, so a trial's g1 never depends on n_trials; the normals of
-g2 that follow are sized by the batch's trials, so in a short last batch
-they do.  The simulators walk the same batch streams, and the two-round
-ones share one round-two step, which draws one normal (x) per round-two
-trial and a second (y) only for the trials that x leaves in outage,
-overwrites its draws in place and counts with count_nonzero; the closed
-loop sorts its round-two g1 before the rule's table lookups.  Power
-totals are reduced with math.fsum (exactly rounded, hence
-order-independent).
+be farmed out to workers without changing any result.  The closed and
+open loops and the single-shot run draw a batch's g1 first, sized by its
+own trial count: those are the first values of its stream, so a trial's
+g1 never depends on n_trials; the normals of g2 that follow are sized by
+the batch's trials, so in a short last batch they do.  The two-round
+simulators share one round-two step, which takes one normal (x) per
+round-two trial from its caller and draws a second (y) only for the
+trials that x leaves in outage, overwrites its inputs in place and
+counts with count_nonzero; the loops draw x from the stream right after
+their round-one screen, and the closed loop sorts its round-two g1
+before the rule's table lookups.  Power totals are reduced with
+math.fsum (exactly rounded, hence order-independent).
+
+The conditional sampler (fig4's) thins instead: a trial whose round one
+failed (g1 < u = theta/P) can be in outage at y = 0 only if
+|x| < B = sqrt(2 (2 - sigma^2) u) / sigma (proved in
+`run_open_loop_conditional`), and any other decodes.  So each batch
+draws the number K ~ Binomial(m, erf(B / sqrt 2)) of its trials inside
+that window, then K uniforms that give their x by inversion inside it,
+K uniforms for their g1, and the y of round two: it simulates only
+those K trials, and its outage count keeps the law of simulating all m.
 
 The round-one screen, the round-two step and the conditional sampler's
-g1 draw write their batch-sized temporaries into work arrays of
+x and g1 draws write their batch-sized temporaries into work arrays of
 BATCH_SIZE elements, created once per thread and handed out as [:n]
 views: fresh 512 KiB arrays per batch cost every 1e5-trial run hundreds
 of minor page faults, as the allocator mapped each one, or trimmed the
@@ -31,21 +41,26 @@ import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import ndtri
 
 from .channel import (GainQuantile, QuantileMethod, _add_g2_quadrature,
-                      _g2_in_phase, sample_g1)
+                      _check_sigma, _g2_in_phase, sample_g1)
 from .harq import (HarqConfig, P2Rule, PaharqError, Protocol, _require_p1,
                    theta)
 
 BATCH_SIZE = 1 << 16
 # run_open_loop's conditional estimate needs this many round-two trials
 _MIN_CONDITIONED = 100
+# relative widening of the conditional sampler's window on x, far above the
+# few units of 2**-53 by which the rounded outage tests can move its edge
+_WINDOW_MARGIN = 1e-9
 
 
 class _WorkArrays:
     """One thread's work arrays, each of BATCH_SIZE elements.  `g1` holds
-    the conditional sampler's g1; `g2` the round-two step's x, later its y
-    and last its second outage sums; `total` the round-one screen's g1 p1,
+    the conditional sampler's g1; `g2` the round-two step's x (the
+    conditional sampler's uniforms before that), later its y and last its
+    second outage sums; `total` the round-one screen's g1 p1,
     then sqrt(g1) and the first outage sums; `g2_open`, `p2_open` and
     `g1_open` the g2, p2 and round-one term of the trials still open at
     y = 0; and `mask` each screen's mask."""
@@ -123,23 +138,28 @@ def _fails_round_one(g1, p1: float, th: float):
                    out=work.mask[:n])
 
 
-def _round_two(rng, g1, sigma: float, p1: float, p2, protocol: Protocol,
+def _normals(rng, n: int):
+    """n standard normals, the x of as many round-two trials, drawn into
+    this thread's work arrays."""
+    return rng.standard_normal(out=_work().g2[:n])
+
+
+def _round_two(rng, g1, x, sigma: float, p1: float, p2, protocol: Protocol,
                rate: float) -> int:
     """Trials still in outage after round two, for the round-one gains g1
-    at power p1 that failed: draw g2 | g1, scale it by the round-two power
-    p2 (one, or one per trial), then RTD adds the SNRs and INR the mutual
-    informations.  Overwrites g1.
+    at power p1 that failed and their in-phase normals x: form g2 | g1,
+    scale it by the round-two power p2 (one, or one per trial), then RTD
+    adds the SNRs and INR the mutual informations.  Overwrites g1 and x.
 
     Both outage tests fall as g2 grows, and the quadrature term of g2 (the
     y of `sample_g2_given_g1`) only adds to it, so a trial that decodes
-    at y = 0 decodes at every y; rounding keeps that order.  So every trial
-    draws its x, and only the trials that stay in outage at y = 0 draw a y:
-    each count is bit for bit the one of the full g2 on the same (x, y).
-    Every temporary is a view of this thread's work arrays.
+    at y = 0 decodes at every y; rounding keeps that order.  So only the
+    trials that stay in outage at y = 0 draw a y: each count is bit for
+    bit the one of the full g2 on the same (x, y).  Every temporary is a
+    view of this thread's work arrays.
     """
     n, work = g1.size, _work()
-    g2, scale = _g2_in_phase(rng, g1, sigma, out=work.g2[:n],
-                             work=work.total[:n])
+    g2, scale = _g2_in_phase(x, g1, sigma, work=work.total[:n])
     g1 *= p1
     if protocol is Protocol.INR:
         np.log1p(g1, out=g1)
@@ -227,7 +247,8 @@ def run_closed_loop(cfg: HarqConfig, sigma: float,
         if rule.jensen:
             fallback += np.count_nonzero(rule.jensen_fallback_mask(g1))
         n_round2 += n
-        n_outage += _round_two(rng, g1, sigma, p1, p2, cfg.protocol, cfg.rate)
+        n_outage += _round_two(rng, g1, _normals(rng, n), sigma, p1, p2,
+                               cfg.protocol, cfg.rate)
         # every trial spends p1, a failed one p2 on top
         p2 += p1
         sums += [(m - n) * p1, float(p2.sum())]
@@ -250,7 +271,8 @@ def run_open_loop(P: float, rate: float, sigma: float, protocol: Protocol,
         g1 = sample_g1(rng, size=m)
         g1 = g1[_fails_round_one(g1, P, th)]
         n_cond += g1.size
-        n_out += _round_two(rng, g1, sigma, P, P, protocol, rate)
+        n_out += _round_two(rng, g1, _normals(rng, g1.size), sigma, P, P,
+                            protocol, rate)
     if n_cond < _MIN_CONDITIONED:
         raise DegenerateConditioningError(
             f"only {n_cond} of {n_trials} trials met g1 < theta/P "
@@ -260,26 +282,74 @@ def run_open_loop(P: float, rate: float, sigma: float, protocol: Protocol,
                      [(n_trials + 3 * n_cond) * P * P])
 
 
+def _window(u: float, sigma: float):
+    """(B, w, Phi(-B)) for round-one failures g1 < u: the bound B on |x|
+    beyond which no trial is in outage at y = 0, widened by
+    _WINDOW_MARGIN; the probability w = erf(B / sqrt 2) that a standard
+    normal falls inside it; and the normal CDF at -B."""
+    bound = (math.sqrt(2.0 * (2.0 - sigma * sigma) * u) / sigma
+             * (1.0 + _WINDOW_MARGIN))
+    half = bound * math.sqrt(0.5)
+    return bound, math.erf(half), 0.5 * math.erfc(half)
+
+
+def _normals_in_window(uniforms, bound: float, w: float, lower: float):
+    """Standard normals conditioned on |x| < bound, by inversion of the
+    uniforms in [0, 1), in place: ndtri(Phi(-B) + w U).  Clipped to the
+    window, so a uniform of 0 where Phi(-B) underflows (B > ~38) gives -B,
+    not -inf."""
+    uniforms *= w
+    uniforms += lower
+    x = ndtri(uniforms, out=uniforms)
+    return np.clip(x, -bound, bound, out=x)
+
+
 def run_open_loop_conditional(P: float, rate: float, sigma: float,
                               protocol: Protocol, n_trials: int = 100_000,
                               seed: int = 0) -> MCReport:
     """Open-loop conditional outage with every trial inside the condition.
 
     Draws g1 directly from the unit exponential truncated to the
-    round-one-failure region [0, theta/P) (inverse-CDF sampling), which is
-    the same conditional law that `run_open_loop` reaches by rejection, so
-    small outage targets can be resolved at a fixed trial count.  The
-    average power is not estimated here (the conditioning discards the
-    no-retransmission trials); it is NaN in the report.
+    round-one-failure region [0, u), u = theta/P (inverse-CDF sampling),
+    which is the same conditional law that `run_open_loop` reaches by
+    rejection, so small outage targets can be resolved at a fixed trial
+    count.  The average power is not estimated here (the conditioning
+    discards the no-retransmission trials); it is NaN in the report.
+
+    Only the trials that can still fail round two are simulated.  With
+    g2 = (sqrt(1 - sigma^2) sqrt(g1) + sigma x / sqrt 2)^2 + (sigma y /
+    sqrt 2)^2, a trial is in outage at y = 0 only if the in-phase root is
+    below R in magnitude, where R^2 is round two's threshold on g2: u - g1
+    for RTD and (e^rate / (1 + g1 P) - 1) / P for INR.  Both have
+    R^2 + g1 <= u (for INR because 1 + g1 P <= e^rate).  By Cauchy-Schwarz
+    such a trial has
+
+        sigma |x| / sqrt 2 < R + sqrt(1 - sigma^2) sqrt(g1)
+                           <= sqrt(2 - sigma^2) sqrt(R^2 + g1)
+                           <= sqrt((2 - sigma^2) u),
+
+    that is |x| < B = sqrt(2 (2 - sigma^2) u) / sigma, whatever its g1.
+    A trial with |x| >= B decodes at y = 0, hence at every y (see
+    `_round_two`).  So a batch of m trials draws, in this order, the
+    number K ~ Binomial(m, w) of its trials inside the window,
+    w = erf(B / sqrt 2); their x by inversion inside it; their g1; and a y
+    for each one still in outage at y = 0.  The outage count has the law
+    of simulating all m trials.  B is widened by _WINDOW_MARGIN, so that
+    rounding in the outage tests cannot put an outage outside the window.
     """
     batches = _streams(n_trials, seed, P)
-    p_cond = -math.expm1(-theta(rate) / P)
+    u = theta(rate) / P
+    _check_sigma(sigma)
+    p_cond = -math.expm1(-u)
+    bound, w, lower = _window(u, sigma)
     n_out, work = 0, _work()
     for m, rng in batches:
-        g1 = rng.random(out=work.g1[:m])
+        k = rng.binomial(m, w)
+        x = _normals_in_window(rng.random(out=work.g2[:k]), bound, w, lower)
+        g1 = rng.random(out=work.g1[:k])
         g1 *= -p_cond
         np.negative(np.log1p(g1, out=g1), out=g1)   # -log1p(-u p_cond)
-        n_out += _round_two(rng, g1, sigma, P, P, protocol, rate)
+        n_out += _round_two(rng, g1, x, sigma, P, P, protocol, rate)
     # every trial enters round two, one in p_cond of the unconditioned ones
     rep = _finalize(n_trials, n_trials, n_out, [], [])
     return replace(rep, outage_rate=rep.cond_round2_outage * p_cond,

@@ -196,6 +196,25 @@ class TestP2Rule:
         assert np.all(p2 >= 0.0)
         assert np.all(p2[g >= CFG_RTD.theta / CFG_RTD.p1] == 0.0)
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("method", list(QuantileMethod))
+    @pytest.mark.parametrize("cfg", [CFG_RTD, CFG_INR], ids=["rtd", "inr"])
+    def test_decoded_gains_spend_nothing(self, qcache, cfg, method):
+        # the numerator is negative past theta/p1 and NaN at g1 = inf
+        # (INR's inf/inf); every rule and pointwise function spends 0 there
+        q = qcache.get(1e-3, 0.8) if method is QuantileMethod.EXACT else None
+        g = np.array([cfg.theta / cfg.p1, 4.0, 50.0, math.inf])
+        fn = p2_rtd if cfg is CFG_RTD else p2_inr
+        for fallback in (True, False):
+            rule = P2Rule(cfg, 0.8, method, jensen_fallback=fallback,
+                          quantile=q)
+            assert np.all(rule(g) == 0.0)
+            assert np.all(rule.slope(g, cfg.p1) == 0.0)
+            mask = rule.jensen_fallback_mask(g)
+            assert isinstance(mask, np.ndarray) and mask.shape == g.shape
+            assert not mask.any()
+        assert all(fn(float(x), cfg, 0.8, method) == 0.0 for x in g)
+
     def test_fallback_mask_only_for_inr_asymptotic(self):
         g = np.array([1.6, 2.0, 2.5])  # between theta1/p1 and theta/p1
         rule = P2Rule(CFG_INR, 0.8, QuantileMethod.ASYMPTOTIC)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from paharq.allocation import avg_power_given_p1
 from paharq.benchmarks import (
@@ -45,26 +46,44 @@ def _in_phase(x, g1, sigma):
             + np.sqrt(g1) * math.sqrt(1.0 - sigma * sigma)) ** 2
 
 
-def _plain_round_two(rng, g1, sigma, p1, p2, protocol, rate):
+def _plain_round_two(rng, g1, sigma, p1, p2, protocol, rate, x=None):
     """Outage mask of round two as plain array expressions, in the draw
-    order of the simulators: x for every trial, then y for the trials
-    still in outage at y = 0."""
-    g2 = _in_phase(rng.standard_normal(g1.size), g1, sigma)
+    order of the simulators: x for every trial (unless given), then y for
+    the trials still in outage at y = 0."""
+    if x is None:
+        x = rng.standard_normal(g1.size)
+    g2 = _in_phase(x, g1, sigma)
     open_ = _outage(g1, g2, p1, p2, protocol, rate)
     y = rng.standard_normal(np.count_nonzero(open_))
     g2[open_] += (y * (sigma * math.sqrt(0.5))) ** 2
     return _outage(g1, g2, p1, p2, protocol, rate)
 
 
+def _bound(u, sigma):
+    """The conditional sampler's window on x, sqrt(2 (2 - sigma^2) u) /
+    sigma widened by its margin."""
+    return (math.sqrt(2.0 * (2.0 - sigma * sigma) * u) / sigma
+            * (1.0 + montecarlo._WINDOW_MARGIN))
+
+
 def _plain_open_loop(kind, P, rate, sigma, protocol, n_trials, seed):
     """(conditioned, outage) counts of the open-loop and single-shot
-    simulators as plain array expressions on the same batch streams."""
+    simulators as plain array expressions on the same batch streams.  The
+    conditional one draws the number k of trials inside the window on x,
+    their x by inversion, their g1, then round two's y."""
     th = theta(rate)
     n_cond = n_out = 0
     for j, m in _batches(n_trials):
         rng = _batch_rng(seed, j)
+        x = None
         if kind == "conditional":
-            u = rng.uniform(size=m)
+            bound = _bound(th / P, sigma)
+            half = bound * math.sqrt(0.5)
+            w = math.erf(half)
+            k = rng.binomial(m, w)
+            x = np.clip(ndtri(0.5 * math.erfc(half) + w * rng.uniform(size=k)),
+                        -bound, bound)
+            u = rng.uniform(size=k)
             g1 = -np.log1p(-u * -math.expm1(-th / P))
         else:
             g1 = rng.exponential(size=m)
@@ -72,9 +91,9 @@ def _plain_open_loop(kind, P, rate, sigma, protocol, n_trials, seed):
                 n_out += int((g1 * P < th).sum())
                 continue
             g1 = g1[g1 * P < th]
-        n_cond += g1.size
+        n_cond += m if kind == "conditional" else g1.size
         n_out += int(_plain_round_two(rng, g1, sigma, P, P, protocol,
-                                      rate).sum())
+                                      rate, x).sum())
     return n_cond, n_out
 
 
@@ -116,6 +135,8 @@ class TestBatchKernels:
             rep = run_no_retx(10.0, 2.0, n_trials=n, seed=61)
         n_cond, n_out = _plain_open_loop(kind, *args, protocol, n, 61)
         assert rep.n_outage == n_out
+        if kind == "conditional":
+            assert rep.n_round2 == n_cond == n
         if kind == "rejection":
             assert rep.n_round2 == n_cond
             assert rep.avg_power == pytest.approx(10.0 * (1 + n_cond / n),
@@ -156,8 +177,8 @@ class TestBatchKernels:
               "array": np.where(draws.random(n) < 0.2, 0.0,
                                 draws.uniform(0.0, 8.0, n))}[kind]
         rng = _batch_rng(72, 0)
-        count = montecarlo._round_two(rng, g1.copy(), sigma, p1, p2, protocol,
-                                      rate)
+        count = montecarlo._round_two(rng, g1.copy(), rng.standard_normal(n),
+                                      sigma, p1, p2, protocol, rate)
         normals = _batch_rng(72, 0).standard_normal(2 * n + 1)
         x = normals[:n]
         open_ = _outage(g1, _in_phase(x, g1, sigma), p1, p2, protocol, rate)
@@ -471,6 +492,114 @@ class TestOpenLoopConditional:
                                       n_trials=30_000, seed=34)
         assert a == b
         assert math.isnan(a.avg_power)
+
+
+class TestThinnedConditional:
+    # the conditional sampler simulates only the trials whose in-phase
+    # normal x lies inside a window |x| < B; every other trial must decode
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    @pytest.mark.parametrize("sigma", [1e-3, 0.3, 0.8, 1.0])
+    def test_no_outage_outside_the_window(self, sigma, protocol):
+        # plain draws, an x for every trial, and the window's edge around
+        # the g1 where the bound is tight, (1 - sigma^2) u / (2 - sigma^2),
+        # which makes the Cauchy-Schwarz step an equality
+        draws = np.random.default_rng(91)
+        s2 = sigma * sigma
+        for rate in (0.5, 2.0):
+            for u in np.geomspace(1e-9, 5.0, 15):
+                P = theta(rate) / u
+                bound = montecarlo._window(u, sigma)[0]
+                assert bound == _bound(u, sigma)
+                g1 = -np.log1p(-draws.random(20_000) * -math.expm1(-u))
+                x = draws.standard_normal(g1.size)
+                tight = (1.0 - s2) * u / (2.0 - s2)
+                g1 = np.concatenate((g1, tight * np.linspace(0.9, 1.1, 201),
+                                     np.full(4, tight), [0.0, u]))
+                x = np.concatenate((x, np.full(201, -bound),
+                                    bound * np.array([-1.0, 1.0, -1.5, 1.5]),
+                                    [bound, -bound]))
+                g2 = _in_phase(x, g1, sigma)
+                open_ = _outage(g1, g2, P, P, protocol, rate)
+                assert not np.any(open_ & (np.abs(x) >= bound)), (rate, u)
+                if protocol is Protocol.RTD:
+                    # and the bound is tight: just inside it, at the tight
+                    # g1, the trial is in outage
+                    inside = -bound * (1.0 - 1e-6)
+                    assert _outage(tight, _in_phase(inside, tight, sigma),
+                                   P, P, protocol, rate)
+
+    @pytest.mark.parametrize("sigma,u,rate,protocol,n_trials", [
+        (0.8, 3e-7, 1.0, Protocol.RTD, 10**8),      # w 9.0e-4
+        (0.8, 3e-7, 1.0, Protocol.INR, 10**8),      # w 9.0e-4
+        (0.3, 1e-4, 2.0, Protocol.RTD, 10**6),      # w 0.052
+        (0.8, 0.05, 0.5, Protocol.INR, 10**6),      # w 0.36
+        (1.0, 5.0, 0.5, Protocol.RTD, 10**6),       # w 0.998
+        (1e-3, 0.1, 1.0, Protocol.RTD, 10**6),      # w 1, B 632
+        (1e-3, 0.1, 2.0, Protocol.INR, 10**6),      # w 1, B 632
+        (0.05, 1.0, 1.0, Protocol.RTD, 10**6),      # w 1, Phi(-B) is 0
+    ])
+    def test_estimates_match_exact(self, sigma, u, rate, protocol, n_trials):
+        # thinning leaves the law of the count alone: the estimate sits
+        # within 4 standard errors of the quadrature, at windows from
+        # w < 1e-3 (where 1e8 trials cost ~1e5 simulated ones) to w = 1
+        P = theta(rate) / u
+        rep = run_open_loop_conditional(P, rate, sigma, protocol,
+                                        n_trials=n_trials, seed=92)
+        exact = open_loop_outage_exact(P, rate, sigma, protocol)
+        se = math.sqrt(exact * (1 - exact) / n_trials)
+        assert rep.n_round2 == n_trials
+        assert abs(rep.cond_round2_outage - exact) < 4 * se
+        if n_trials == 10**8:
+            assert rep.n_outage >= 5
+
+    def test_window_spans_the_grid(self):
+        # the grid above reaches both ends of the window's probability
+        w = [montecarlo._window(u, sigma)[1]
+             for sigma, u in ((0.8, 3e-7), (1e-3, 0.1))]
+        assert w[0] < 1e-3 and w[1] == 1.0
+        assert montecarlo._window(1.0, 0.05)[2] == 0.0
+
+    @pytest.mark.parametrize("bound", [0.5, 5.0, 38.5, 40.0, 1e3, math.inf])
+    def test_window_edges_stay_finite(self, bound):
+        # uniforms of exactly 0 and of the largest value below 1: where
+        # Phi(-B) underflows to 0 (B > ~38) ndtri(0) is -inf, which the
+        # clip returns to the edge of the window
+        half = bound / math.sqrt(2.0)
+        w, lower = math.erf(half), 0.5 * math.erfc(half)
+        u = np.array([0.0, 0.5, 1.0 - 2.0**-53])
+        x = montecarlo._normals_in_window(u, bound, w, lower)
+        assert not np.any(np.isnan(x))
+        assert np.all(np.abs(x) <= bound)
+        assert x[1] == pytest.approx(0.0, abs=1e-15)
+        if math.isfinite(bound):
+            assert np.all(np.isfinite(x))
+            assert x[0] == pytest.approx(-bound, rel=1e-6)
+
+    @pytest.mark.parametrize("P,sigma,n_trials,windows", [
+        (1e20, 0.8, 2 * BATCH_SIZE + 3, "empty"),   # w ~ 1e-10
+        (6e10, 0.8, 4 * BATCH_SIZE, "mixed"),       # w ~ 1.6e-5
+        (10.0, 0.8, 1000, "full"),                  # one short batch
+        (1.0, 0.05, 1000, "full"),                  # B 57, Phi(-B) = 0
+        (10.0, 1e-3, 5, "full"),
+    ])
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_kernel_edges(self, P, sigma, n_trials, windows, protocol):
+        # batches whose window holds no trial, short batches and windows
+        # past Phi(-B)'s underflow count what the plain expressions count
+        w = montecarlo._window(theta(2.0) / P, sigma)[1]
+        ks = [_batch_rng(93, j).binomial(m, w)
+              for j, m in _batches(n_trials)]
+        assert windows == ("empty" if max(ks) == 0 else
+                           "mixed" if min(ks) == 0 else "full")
+        rep = run_open_loop_conditional(P, 2.0, sigma, protocol,
+                                        n_trials=n_trials, seed=93)
+        n_cond, n_out = _plain_open_loop("conditional", P, 2.0, sigma,
+                                         protocol, n_trials, 93)
+        assert rep.n_round2 == n_cond == n_trials
+        assert rep.n_outage == n_out
+        if windows == "empty":
+            assert (rep.outage_rate, rep.cond_round2_se) == (0.0, 0.0)
 
 
 class TestNoRetx:
