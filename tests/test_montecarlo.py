@@ -580,7 +580,7 @@ class TestThinnedConditional:
         (1e20, 0.8, 2 * BATCH_SIZE + 3, "empty"),   # w ~ 1e-10
         (6e10, 0.8, 4 * BATCH_SIZE, "mixed"),       # w ~ 1.6e-5
         (10.0, 0.8, 1000, "full"),                  # one short batch
-        (1.0, 0.05, 1000, "full"),                  # B 57, Phi(-B) = 0
+        (1.0, 0.05, 1000, "full"),                  # B 101, Phi(-B) = 0
         (10.0, 1e-3, 5, "full"),
     ])
     @pytest.mark.parametrize("protocol", list(Protocol))
