@@ -577,8 +577,8 @@ class TestThinnedConditional:
             assert x[0] == pytest.approx(-bound, rel=1e-6)
 
     @pytest.mark.parametrize("P,sigma,n_trials,windows", [
-        (1e20, 0.8, 2 * BATCH_SIZE + 3, "empty"),   # w ~ 1e-10
-        (6e10, 0.8, 4 * BATCH_SIZE, "mixed"),       # w ~ 1.6e-5
+        (1e20, 0.8, 2 * BATCH_SIZE + 3, "empty"),   # w ~ 4e-10
+        (6e10, 0.8, 4 * BATCH_SIZE, "mixed"),       # w ~ 1.7e-5
         (10.0, 0.8, 1000, "full"),                  # one short batch
         (1.0, 0.05, 1000, "full"),                  # B 101, Phi(-B) = 0
         (10.0, 1e-3, 5, "full"),
