@@ -83,6 +83,7 @@ def open_loop_outage_exact(P: float, rate: float, sigma: float,
     Reference implementation for validating both the closed forms and the
     simulator.  The integral stops at min(theta/P, 745), where e^{-g1}
     underflows; on a longer range quad would miss the mass near 0.
+    Clamped to [0, 1], which rounding can leave by a few ulps.
     """
     _check(P, sigma)
     u = theta(rate) / P
@@ -95,7 +96,7 @@ def open_loop_outage_exact(P: float, rate: float, sigma: float,
     f = lambda x: math.exp(-x) * cond_cdf_g2(arg(x), x, sigma)
     val, _ = integrate.quad(f, 0.0, min(u, 745.0), epsabs=1e-14, epsrel=1e-11,
                             limit=300)
-    return val / (-math.expm1(-u))
+    return min(max(val / (-math.expm1(-u)), 0.0), 1.0)
 
 
 def open_loop_round_power(target_eps: float, rate: float, sigma: float,

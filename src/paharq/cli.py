@@ -22,9 +22,9 @@ headline share one point function; their `_Sweep` data says what
 differs.  eval calls the package function named by its op, with the
 parameters read from its signature.
 
-Reproducibility: every row carries the master seed and the code version;
-per-row Monte Carlo seeds are spawned from the master seed's SeedSequence
-on the row's coordinate string, so a row's bytes do not depend on grid
+Reproducibility: every row carries the code version, and every Monte
+Carlo row its own seed, spawned from the master seed's SeedSequence on
+the row's coordinate string, so a row's bytes do not depend on grid
 composition.  Only fig4 and mc-verify draw samples, so only they take
 --seed and --trials.
 Exit codes: 0 all rows ok, 1 usage/config error, 2 some rows failed,
@@ -306,14 +306,14 @@ def _fig4_point(config, master_seed, rate, eps, protocol_name):
     protocol = Protocol(protocol_name)
     coords = dict(figure="fig4", eps=eps, rate=rate, sigma=sigma,
                   protocol=protocol.value)
+    seed = _row_seed(master_seed, "fig4", eps, rate, protocol.value)
     rows = []
     with _error_row(rows, coords, method="closed-form", n_trials=trials,
-                    seed=master_seed):
+                    seed=seed):
         P = open_loop_round_power(eps, rate, sigma, protocol)
         avg = open_loop_avg_power(P, rate)
         # sample the failed-round-one ensemble directly so small targets
         # are resolvable at a fixed trial count
-        seed = _row_seed(master_seed, "fig4", eps, rate, protocol.value)
         report = run_open_loop_conditional(P, rate, sigma, protocol,
                                            n_trials=trials, seed=seed)
         rows.append(_row(
@@ -426,9 +426,12 @@ def _open_loop_rows(config, master_seed, protocol_name, rate, p_db):
             closed, rep.cond_round2_outage, _binomial_se(closed, rep.n_round2),
             upper_bound=inr, method="closed-form",
             n_denominator=rep.n_round2, **coords))
-        rows.append(_z_row("open_loop_avg_power",
-                           open_loop_avg_power(P, rate), rep.avg_power,
-                           rep.avg_power_se, **coords))
+        # a trial spends P, or 2P with probability q: the model's se, floored
+        # at a few ulps so that agreement to rounding reads z ~ 0
+        ref, q = open_loop_avg_power(P, rate), no_retx_outage(P, rate)
+        se = max(P * _binomial_se(q, trials), 4.0 * math.ulp(ref))
+        rows.append(_z_row("open_loop_avg_power", ref, rep.avg_power, se,
+                           **coords))
     return rows
 
 

@@ -361,12 +361,7 @@ def run_no_retx(P: float, rate: float, n_trials: int = 100_000,
     """Simulate single-shot transmission; outage estimates 1 - e^{-theta/P}."""
     batches = _streams(n_trials, seed, P)
     th = theta(rate)
-    n_out = sum(np.count_nonzero(sample_g1(rng, size=m) * P < th)
-                for m, rng in batches)
-    return MCReport(
-        n_trials=n_trials,
-        outage_rate=n_out / n_trials,
-        cond_round2_outage=math.nan, cond_round2_se=math.nan,
-        avg_power=P, avg_power_se=0.0,
-        n_round2=0, n_outage=n_out,
-    )
+    n_out = sum(np.count_nonzero(
+        _fails_round_one(sample_g1(rng, size=m), P, th)) for m, rng in batches)
+    # every trial spends exactly P
+    return replace(_finalize(n_trials, 0, n_out, [], []), avg_power=P)

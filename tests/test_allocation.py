@@ -317,10 +317,38 @@ class TestNumericOptimum:
             optimal_p1_numeric(c, 1.0, QuantileMethod.ASYMPTOTIC)
 
     def test_non_finite_average_power(self, monkeypatch):
-        nan = lambda p1, *args, **kwargs: math.nan
-        monkeypatch.setattr(allocation, "avg_power_given_p1", nan)
+        integral = allocation._integral
+
+        def nan_average(rule, integrand, p1, base):
+            # the average power integrates the rule, the slope rule.slope
+            return (math.nan if integrand is rule
+                    else integral(rule, integrand, p1, base))
+        monkeypatch.setattr(allocation, "_integral", nan_average)
         with pytest.raises(BracketError, match="not finite"):
             optimal_p1_numeric(cfg(), 0.8, QuantileMethod.ASYMPTOTIC)
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_bound_is_a_bracket_error(self):
+        # -log(1 - 5e-324) is 5e-324, so theta over it, the provable bound,
+        # overflows; no 0 * inf warning on the way
+        with pytest.raises(BracketError, match="not finite at p1=inf"):
+            optimal_p1_numeric(cfg(eps=5e-324), 0.8, QuantileMethod.ASYMPTOTIC)
+
+    @pytest.mark.parametrize("method", list(QuantileMethod))
+    def test_builds_one_rule_per_solve(self, qcache, monkeypatch, method):
+        # the slope and every average power of a solve share one rule
+        built = []
+
+        class CountingRule(P2Rule):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+        monkeypatch.setattr(allocation, "P2Rule", CountingRule)
+        q = qcache.get(1e-3, 0.8, method)
+        for protocol in Protocol:
+            built.clear()
+            optimal_p1_numeric(cfg(protocol), 0.8, method, quantile=q)
+            assert len(built) == 1
 
 
 class TestSlope:

@@ -100,6 +100,13 @@ class TestZetaClosed:
             1.0, abs=1e-12)
 
     @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_exact_never_exceeds_one(self, protocol):
+        # at sigma = 1, theta/P = 202 the quotient of the integral by the
+        # round-one failure probability rounds to 1 + 2^-52; clamped, as
+        # the closed forms are
+        assert open_loop_outage_exact(10 ** -1.5, 2.0, 1.0, protocol) == 1.0
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
     @pytest.mark.parametrize("P,rate", [(1.0, 0.0), (math.inf, 1.0)])
     def test_exact_is_zero_without_round_one_failure(self, protocol, P,
                                                      rate):

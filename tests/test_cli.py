@@ -659,7 +659,7 @@ def test_every_subcommand_has_a_packaged_config(command):
 
 def test_fig4_error_row_bytes(tmp_path):
     # an unreachable target: the closed-form row carries only its
-    # coordinates, trials, master seed and the message
+    # coordinates, trials, row seed and the message
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({
         "eps": [1e-9], "rate": [6.0], "sigma": 0.05, "protocols": ["rtd"],
@@ -669,13 +669,43 @@ def test_fig4_error_row_bytes(tmp_path):
                  "--out", str(out)]) == 2
     assert out.read_text().splitlines()[1:] == [
         "fig4,1.0000000000000001e-09,6,0.050000000000000003,,,rtd,"
-        f"closed-form,,,,,,,,,,,,,,,,,1000,3,{paharq.__version__},"
+        "closed-form,,,,,,,,,,,,,,,,,1000,4942005033288613115,"
+        f"{paharq.__version__},"
         "\"outage target 1e-09 unreachable for rate=6.0, sigma=0.05, "
         "protocol=rtd\"",
         "fig4,1.0000000000000001e-09,6,0.050000000000000003,,,rtd,no-retx,,,"
         f"402428793291.52063,116.04689046402399,,,,,,,,,,,,,,,"
         f"{paharq.__version__},",
     ]
+
+
+def test_fig4_error_row_carries_its_row_seed():
+    # every Monte Carlo row carries its own seed, an error row too
+    closed, no_retx = cli._fig4_point({"sigma": 0.8, "trials": 100}, 5,
+                                      1e-9, 0.3, "rtd")
+    assert closed["error"].startswith("outage target 0.3 unreachable")
+    assert closed["seed"] == cli._row_seed(5, "fig4", 0.3, 1e-9, "rtd") != 5
+    assert no_retx["seed"] is None
+
+
+@pytest.mark.parametrize("protocol", ["rtd", "inr"])
+@pytest.mark.parametrize("p_db", [-15.0, -5.0])
+def test_mc_verify_open_loop_where_every_trial_fails_round_one(protocol,
+                                                               p_db):
+    # at rate 2 all 2000 trials fail round one (theta/P = 202 at -15 dB, 20
+    # at -5 dB), so the simulated average power is exactly 2P with a sample
+    # se of 0: the model's se keeps z finite, and at -15 dB the exact
+    # outage, clamped to 1, meets a simulated 1 with z = 0
+    rows = cli._open_loop_rows({"open_loop_sigma": 1.0, "trials": 2000}, 1,
+                               protocol, 2.0, p_db)
+    assert [r["error"] for r in rows] == [None] * 3
+    assert rows[0]["n_denominator"] == 2000
+    avg = rows[-1]
+    assert avg["check"] == "open_loop_avg_power"
+    assert 0.0 < avg["se"] and avg["z_score"] < 0.01
+    if p_db == -15.0:
+        assert avg["estimate"] == avg["reference"] and avg["z_score"] == 0.0
+        assert rows[0]["reference"] == 1.0 and rows[0]["z_score"] == 0.0
 
 
 def test_fig4_rate_past_polynomial_overflow(tmp_path):
