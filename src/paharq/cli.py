@@ -38,6 +38,7 @@ import inspect
 import itertools
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 from functools import cache, partial
@@ -69,7 +70,7 @@ from .channel import (
     _check_sigma,
     sigma_from_geometry,
 )
-from .harq import HarqConfig, PaharqError, Protocol
+from .harq import HarqConfig, PaharqError, Protocol, theta
 from .montecarlo import (
     DegenerateConditioningError,
     run_closed_loop,
@@ -171,6 +172,18 @@ def _load_config(name: str, path: str | None, overrides: dict) -> dict:
                                  f"(takes {', '.join(known)})")
             cfg[key] = _checked(key, value, cfg[key]) if key in cfg else value
     cfg.update({k: v for k, v in overrides.items() if v is not None})
+    # checked before any point runs (and builds its table): the names, and
+    # mc-verify's open-loop rates, which must be > 0, since at rate 0 every
+    # round one decodes and no open-loop check can measure anything, and
+    # must have a finite threshold
+    for name in cfg.get("protocols", ()):
+        Protocol(name)
+    for name in cfg.get("methods", ()):
+        _quantile_method(name)
+    for rate in cfg.get("open_loop_rate", ()):
+        if not rate > 0:
+            raise ValueError(f"rate must be > 0, got {rate}")
+        theta(rate)
     return cfg
 
 
@@ -203,6 +216,16 @@ def _binomial_se(p: float, n: int) -> float:
 # optimized sweeps: fig3 (vs outage target), fig5 (vs vehicle speed) and
 # headline (gains over no retransmission) are one point function over data
 # ---------------------------------------------------------------------------
+
+def _quantile_method(method: str) -> QuantileMethod | None:
+    """The quantile method of a `numeric-<quantile method>` name, None for
+    `closed-form`; ValueError for any other name."""
+    if method == "closed-form":
+        return None
+    if not method.startswith("numeric-"):
+        raise ValueError(f"unknown method {method!r}")
+    return QuantileMethod(method.removeprefix("numeric-"))
+
 
 class _Sweep(NamedTuple):
     """An optimized sweep: the config lists whose product is its grid,
@@ -252,15 +275,13 @@ def _sweep_point(sweep, config, master_seed, *coords):
         for method in methods:
             labels = dict(method=method, protocol=protocol.value, **fields)
             with _error_row(rows, labels):
-                if method == "closed-form":
+                qmethod = _quantile_method(method)
+                if qmethod is None:
                     sol = optimal_p1_closed_form(cfg, sigma)
-                elif method.startswith("numeric-"):
-                    qmethod = QuantileMethod(method.removeprefix("numeric-"))
+                else:
                     quantile = table if qmethod is QuantileMethod.EXACT else None
                     sol = optimal_p1_numeric(cfg, sigma, qmethod,
                                              quantile=quantile)
-                else:
-                    raise ValueError(f"unknown method {method!r}")
                 gain = None
                 if no_retx is not None:
                     gain = _db(no_retx) - sol.avg_power_db
@@ -388,18 +409,9 @@ def _closed_loop_rows(config, master_seed, protocol_name, eps, sigma):
     return rows
 
 
-def _check_open_loop_rate(rate) -> None:
-    """mc-verify's open-loop rate must be > 0: at rate 0 every round one
-    decodes, so no trial reaches round two, the single-shot outage is 0 and
-    no check can measure anything.  A config error."""
-    if not rate > 0:
-        raise ValueError(f"rate must be > 0, got {rate}")
-
-
 def _open_loop_rows(config, master_seed, protocol_name, rate, p_db):
     # closed-form outage vs simulation (score-style se), plus the
     # exact-quadrature cross-check and the average power identity
-    _check_open_loop_rate(rate)
     sigma, trials = float(config["open_loop_sigma"]), int(config["trials"])
     protocol = Protocol(protocol_name)
     P = 10.0 ** (p_db / 10.0)
@@ -436,7 +448,6 @@ def _open_loop_rows(config, master_seed, protocol_name, rate, p_db):
 
 
 def _no_retx_rows(config, master_seed, p_db, rate):
-    _check_open_loop_rate(rate)
     trials = int(config["trials"])
     P = 10.0 ** (p_db / 10.0)
     seed = _row_seed(master_seed, "nr", rate, p_db)
@@ -634,6 +645,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.out and not os.access(os.path.dirname(args.out) or ".",
+                                      os.W_OK):
+            raise OSError(f"cannot write {args.out}: no writable directory")
         if args.command == "eval":
             rows = run_eval(args.op, args.assignments)
         else:
@@ -657,10 +671,10 @@ def main(argv=None) -> int:
                 if config["trials"] < 1:
                     parser.error(f"trials must be >= 1, got {config['trials']}")
             rows = _run(grid, config, seed, args.workers)
+        _write_csv(rows, args.out)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write_csv(rows, args.out)
     return 2 if any(r["error"] for r in rows) else 0
 
 

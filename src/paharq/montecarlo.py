@@ -4,18 +4,18 @@ Every run is deterministic given (parameters, seed): trials are organized
 in fixed-size batches and batch j draws from its own SFC64 stream, seeded
 by SeedSequence(seed, spawn_key=(j,)), so batch streams are independent,
 a whole batch is the same regardless of n_trials, and whole batches can
-be farmed out to workers without changing any result.  The closed and
-open loops and the single-shot run draw a batch's g1 first, sized by its
-own trial count: those are the first values of its stream, so a trial's
-g1 never depends on n_trials; the normals of g2 that follow are sized by
-the batch's trials, so in a short last batch they do.  The two-round
-simulators share one round-two step, which takes one normal (x) per
-round-two trial from its caller and draws a second (y) only for the
-trials that x leaves in outage, overwrites its inputs in place and
-counts with count_nonzero; the loops draw x from the stream right after
-their round-one screen, and the closed loop sorts its round-two g1
-before the rule's table lookups.  Power totals are reduced with
-math.fsum (exactly rounded, hence order-independent).
+be farmed out to workers without changing any result.  One round-one
+stage, `_round_one`, draws a batch's g1 first (the first values of its
+stream, so a trial's g1 never depends on n_trials) and screens it for
+the closed and open loops and the single-shot run; one round-two step,
+`_round_two`, draws an in-phase normal x per round-two trial (unless
+its caller passes x), then a y only for the trials that x leaves in
+outage, overwrites its inputs in place and counts with count_nonzero.
+These two fix the draw order g1, screen, x, y, hence every report's
+bits; x and y are sized by the batch's trials, so in a short last batch
+they depend on n_trials.  The closed loop sorts its round-two g1 before
+the rule's table lookups.  Power totals are reduced with math.fsum
+(exactly rounded, hence order-independent).
 
 The conditional sampler (fig4's) thins instead: a trial whose round one
 failed (g1 < u = theta/P) can be in outage at y = 0 only if
@@ -130,35 +130,34 @@ def _streams(n_trials: int, seed: int, P: float):
     return ((m, _batch_rng(seed, j)) for j, m in _batches(n_trials))
 
 
-def _fails_round_one(g1, p1: float, th: float):
-    """Mask of the round-one gains g1 that fail at power p1 (g1 p1 < th),
-    a view of this thread's work arrays, as is the product."""
-    n, work = g1.size, _work()
-    return np.less(np.multiply(g1, p1, out=work.total[:n]), th,
-                   out=work.mask[:n])
+def _round_one(n_trials: int, seed: int, P: float, rate: float):
+    """Per batch of `_streams`, whose checks run at the call, before any
+    work (so this is no generator function): its trials m, generator, g1
+    and the mask g1 P < theta(rate) of its round-one failures, a view of
+    this thread's work arrays until round two."""
+    batches, th, work = _streams(n_trials, seed, P), theta(rate), _work()
+    return ((m, rng, g1, np.less(np.multiply(g1, P, out=work.total[:m]), th,
+                                 out=work.mask[:m]))
+            for m, rng in batches for g1 in [sample_g1(rng, size=m)])
 
 
-def _normals(rng, n: int):
-    """n standard normals, the x of as many round-two trials, drawn into
-    this thread's work arrays."""
-    return rng.standard_normal(out=_work().g2[:n])
-
-
-def _round_two(rng, g1, x, sigma: float, p1: float, p2, protocol: Protocol,
-               rate: float) -> int:
+def _round_two(rng, g1, sigma: float, p1: float, p2, protocol: Protocol,
+               rate: float, x=None) -> int:
     """Trials still in outage after round two, for the round-one gains g1
-    at power p1 that failed and their in-phase normals x: form g2 | g1,
-    scale it by the round-two power p2 (one, or one per trial), then RTD
-    adds the SNRs and INR the mutual informations.  Overwrites g1 and x.
+    at power p1 that failed and their in-phase normals x (drawn here unless
+    given): form g2 | g1, scale it by the round-two power p2 (one, or one
+    per trial), then RTD adds the SNRs and INR the mutual informations.
 
     Both outage tests fall as g2 grows, and the quadrature term of g2 (the
     y of `sample_g2_given_g1`) only adds to it, so a trial that decodes
     at y = 0 decodes at every y; rounding keeps that order.  So only the
     trials that stay in outage at y = 0 draw a y: each count is bit for
     bit the one of the full g2 on the same (x, y).  Every temporary is a
-    view of this thread's work arrays.
+    view of this thread's work arrays, and g1 and x are overwritten.
     """
     n, work = g1.size, _work()
+    if x is None:
+        x = rng.standard_normal(out=work.g2[:n])
     g2, scale = _g2_in_phase(x, g1, sigma, work=work.total[:n])
     g1 *= p1
     if protocol is Protocol.INR:
@@ -228,15 +227,13 @@ def run_closed_loop(cfg: HarqConfig, sigma: float,
     (log(1+g1 p1) + log(1+g2 P2) >= rate).
     """
     p1 = _require_p1(cfg)
-    batches = _streams(n_trials, seed, p1)
+    batches = _round_one(n_trials, seed, p1, cfg.rate)
     rule = P2Rule(cfg, sigma, method, jensen_fallback=jensen_fallback,
                   quantile=quantile)
-    th = cfg.theta
     n_round2 = n_outage = fallback = 0
     sums, sqsums = [], []
-    for m, rng in batches:
-        g1 = sample_g1(rng, size=m)
-        g1 = g1[_fails_round_one(g1, p1, th)]
+    for m, rng, g1, failed in batches:
+        g1 = g1[failed]
         # in ascending order the table lookups of the rule walk its knots in
         # turn (~3x faster); how many y normals round two draws depends on
         # g1, but no normal's value does, so the law of the (g1, g2) pairs,
@@ -247,8 +244,7 @@ def run_closed_loop(cfg: HarqConfig, sigma: float,
         if rule.jensen:
             fallback += np.count_nonzero(rule.jensen_fallback_mask(g1))
         n_round2 += n
-        n_outage += _round_two(rng, g1, _normals(rng, n), sigma, p1, p2,
-                               cfg.protocol, cfg.rate)
+        n_outage += _round_two(rng, g1, sigma, p1, p2, cfg.protocol, cfg.rate)
         # every trial spends p1, a failed one p2 on top
         p2 += p1
         sums += [(m - n) * p1, float(p2.sum())]
@@ -264,15 +260,11 @@ def run_open_loop(P: float, rate: float, sigma: float, protocol: Protocol,
     first-round gain fails (g1 < theta/P) enter the denominator.  Raises
     DegenerateConditioningError when fewer than 100 survive.
     """
-    batches = _streams(n_trials, seed, P)
-    th = theta(rate)
     n_cond = n_out = 0
-    for m, rng in batches:
-        g1 = sample_g1(rng, size=m)
-        g1 = g1[_fails_round_one(g1, P, th)]
+    for _, rng, g1, failed in _round_one(n_trials, seed, P, rate):
+        g1 = g1[failed]
         n_cond += g1.size
-        n_out += _round_two(rng, g1, _normals(rng, g1.size), sigma, P, P,
-                            protocol, rate)
+        n_out += _round_two(rng, g1, sigma, P, P, protocol, rate)
     if n_cond < _MIN_CONDITIONED:
         raise DegenerateConditioningError(
             f"only {n_cond} of {n_trials} trials met g1 < theta/P "
@@ -349,7 +341,7 @@ def run_open_loop_conditional(P: float, rate: float, sigma: float,
         g1 = rng.random(out=work.g1[:k])
         g1 *= -p_cond
         np.negative(np.log1p(g1, out=g1), out=g1)   # -log1p(-u p_cond)
-        n_out += _round_two(rng, g1, x, sigma, P, P, protocol, rate)
+        n_out += _round_two(rng, g1, sigma, P, P, protocol, rate, x)
     # every trial enters round two, one in p_cond of the unconditioned ones
     rep = _finalize(n_trials, n_trials, n_out, [], [])
     return replace(rep, outage_rate=rep.cond_round2_outage * p_cond,
@@ -359,9 +351,7 @@ def run_open_loop_conditional(P: float, rate: float, sigma: float,
 def run_no_retx(P: float, rate: float, n_trials: int = 100_000,
                 seed: int = 0) -> MCReport:
     """Simulate single-shot transmission; outage estimates 1 - e^{-theta/P}."""
-    batches = _streams(n_trials, seed, P)
-    th = theta(rate)
-    n_out = sum(np.count_nonzero(
-        _fails_round_one(sample_g1(rng, size=m), P, th)) for m, rng in batches)
+    n_out = sum(np.count_nonzero(failed)
+                for *_, failed in _round_one(n_trials, seed, P, rate))
     # every trial spends exactly P
     return replace(_finalize(n_trials, 0, n_out, [], []), avg_power=P)

@@ -19,6 +19,15 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+@pytest.fixture
+def no_table(monkeypatch):
+    """Fail the test if the CLI builds an exact quantile table: a config
+    error must exit before any point runs."""
+    def build(*args, **kwargs):
+        raise AssertionError("built a quantile table")
+    monkeypatch.setattr(cli, "GainQuantile", build)
+
+
 def test_eval_subcommand(tmp_path, capsys):
     assert main(["eval", "marcum-q1", "s=1", "rho=1"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -221,6 +230,21 @@ def test_zero_rate_exits_one(tmp_path, capsys, argv, config):
     assert main(argv + ["--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: rate must be > 0, got 0.0\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,out", [
+    (["headline"], "missing/x.csv"),
+    (["eval", "theta", "rate=2"], "missing/x.csv"),
+    (["eval", "theta", "rate=2"], "."),     # a directory fails at the write
+], ids=["headline", "eval", "eval-directory"])
+def test_unwritable_out_exits_one(tmp_path, capsys, monkeypatch, no_table,
+                                  argv, out):
+    # a missing directory is found before any point runs
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_config_exits_one(tmp_path):
@@ -844,6 +868,34 @@ def test_empty_config_array_exits_one(tmp_path, capsys, command, key):
     assert _run_config(tmp_path, command, config) == 1
     assert capsys.readouterr().err == (
         f"error: config key {key!r} must be a non-empty array, got []\n")
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["fig3", "fig5"])
+@pytest.mark.parametrize("names,message", [
+    ({"methods": ["numeric-exact", "closed"]}, "unknown method 'closed'"),
+    ({"methods": ["numeric-exatc"]}, "'exatc' is not a valid QuantileMethod"),
+    ({"protocols": ["rdt"]}, "'rdt' is not a valid Protocol"),
+])
+def test_unknown_name_exits_one(tmp_path, capsys, no_table, command, names,
+                                message):
+    config = dict(_SMALL_CONFIGS[command], methods=["numeric-exact"])
+    assert _run_config(tmp_path, command, dict(config, **names)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("rate,message", [
+    (0.0, "rate must be > 0, got 0.0"),
+    (800.0, "rate 800.0 is too large: its SNR threshold overflows"),
+])
+def test_open_loop_rate_exits_one_before_any_table(tmp_path, capsys, no_table,
+                                                  rate, message):
+    # the closed-loop checks, which build the tables, come first in the grid
+    config = {"eps": [0.001], "sigma": [0.8], "open_loop_rate": [rate],
+              "trials": 1000}
+    assert _run_config(tmp_path, "mc-verify", config) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "o.csv").exists()
 
 

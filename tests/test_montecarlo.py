@@ -165,7 +165,7 @@ class TestBatchKernels:
     @pytest.mark.parametrize("sigma", [1e-3, 0.8, 1.0])
     @pytest.mark.parametrize("kind", ["scalar", "array", "zero"])
     def test_round_two_screen(self, kind, sigma, protocol):
-        # a trial that draws no y decodes whatever its y, and the step takes
+        # a trial that draws no y decodes whatever its y, and the step draws
         # n + k normals from its stream: n x, then k y for the k trials
         # still in outage at y = 0; p2 = 0 (INR's Jensen rule) warns nothing
         rate, p1 = 2.0, 1.0
@@ -177,8 +177,8 @@ class TestBatchKernels:
               "array": np.where(draws.random(n) < 0.2, 0.0,
                                 draws.uniform(0.0, 8.0, n))}[kind]
         rng = _batch_rng(72, 0)
-        count = montecarlo._round_two(rng, g1.copy(), rng.standard_normal(n),
-                                      sigma, p1, p2, protocol, rate)
+        count = montecarlo._round_two(rng, g1.copy(), sigma, p1, p2, protocol,
+                                      rate)
         normals = _batch_rng(72, 0).standard_normal(2 * n + 1)
         x = normals[:n]
         open_ = _outage(g1, _in_phase(x, g1, sigma), p1, p2, protocol, rate)
@@ -630,6 +630,22 @@ class TestNoRetx:
             longer = run_no_retx(10.0, 2.0, n_trials=BATCH_SIZE + extra,
                                  seed=37)
             assert 0 <= longer.n_outage - one.n_outage <= extra
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    @pytest.mark.parametrize("n_trials", [1, 70_000, 200_000])
+    def test_fails_where_the_open_loop_enters_round_two(self, n_trials,
+                                                          protocol):
+        # both take their g1 and round-one screen from one stage, so the
+        # single-shot outages are the open loop's round-two trials
+        n_out = run_no_retx(10.0, 2.0, n_trials=n_trials, seed=38).n_outage
+        if n_trials < montecarlo._MIN_CONDITIONED:
+            with pytest.raises(DegenerateConditioningError,
+                               match=f"^only {n_out} of {n_trials} trials"):
+                run_open_loop(10.0, 2.0, 0.8, protocol, n_trials=n_trials,
+                              seed=38)
+        else:
+            assert n_out == run_open_loop(10.0, 2.0, 0.8, protocol,
+                                          n_trials=n_trials, seed=38).n_round2
 
     def test_constant_power(self):
         rep = run_no_retx(7.0, 2.0, n_trials=10_000, seed=24)
