@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .channel import (
     G_MAX,
@@ -26,7 +25,7 @@ from .channel import (
     _check_sigma,
 )
 from .harq import HarqConfig, P2Rule, PaharqError, Protocol
-from .special import lambert_w
+from .special import brentq, lambert_w
 
 # 7-point Gauss / 15-point Kronrod rule on [-1, 1] (the QUADPACK qk15
 # constants); the Gauss nodes are the odd-indexed Kronrod nodes.
@@ -126,6 +125,19 @@ def avg_power_given_p1(p1: float, cfg: HarqConfig, sigma: float,
     return p1 + _integral(rule, rule, p1, p1)
 
 
+def _gauss_kronrod(lo, hi, integrand):
+    """The 7/15-point Gauss-Kronrod rule for the integral of
+    e^-x integrand(x) on each panel [lo[i], hi[i]]: the Kronrod values and
+    the |Kronrod - Gauss| error estimates, one per panel.  integrand takes
+    the (panels, 15) array of nodes; where it returns a stack of such
+    arrays, each gives its own row of values and estimates."""
+    half = 0.5 * (hi - lo)[:, None]
+    x = 0.5 * (hi + lo)[:, None] + half * _XK
+    f = half * np.exp(-x) * integrand(x)
+    kronrod = f @ _WK
+    return kronrod, np.abs(kronrod - f[..., 1::2] @ _WG)
+
+
 def _integral(rule: P2Rule, integrand, p1: float, base: float) -> float:
     """The integral of e^-g1 integrand(g1, p1), with integrand `rule` or
     `rule.slope`, over [0, min(theta/p1, G_MAX)].
@@ -144,12 +156,10 @@ def _integral(rule: P2Rule, integrand, p1: float, base: float) -> float:
     split = min(cfg.theta1 / p1, g_hi) if rule.jensen else g_hi
     edges = _EDGES[:int(np.searchsorted(_EDGES, g_hi)) + 1]
     edges = np.sort(np.append(np.minimum(edges, g_hi), split))
-    half = 0.5 * np.diff(edges)[:, None]
-    x = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * _XK
-    f = half * np.exp(-x) * integrand(x, p1)
-    kronrod = f @ _WK
+    kronrod, err = _gauss_kronrod(edges[:-1], edges[1:],
+                                  lambda x: integrand(x, p1))
     val = kronrod.sum()
-    err = np.abs(kronrod - f[:, 1::2] @ _WG).sum()
+    err = err.sum()
     if err > 1e-6 * max(abs(val), base):
         raise QuadratureError(
             f"integral error estimate {err:.3g} too large for value "
@@ -209,7 +219,8 @@ def optimal_p1_closed_form(cfg: HarqConfig, sigma: float) -> PowerSolution:
 def optimal_p1_numeric(cfg: HarqConfig, sigma: float,
                        method: QuantileMethod = QuantileMethod.EXACT,
                        quantile: GainQuantile | None = None) -> PowerSolution:
-    """Minimize the quadrature objective: brentq on its slope in log p1.
+    """Minimize the quadrature objective: Brent's root of its slope in
+    log p1.
 
     avg is convex in p1: the g2|g1 quantile does not depend on p1, and each
     round-two numerator is convex in p1 (RTD's (theta - g1 p1)+, INR's
@@ -237,7 +248,7 @@ def optimal_p1_numeric(cfg: HarqConfig, sigma: float,
     bound = avg(cfg.theta / -math.log1p(-cfg.eps))
     if bound <= _P1_FLOOR or not slope(t_lo) < 0.0:
         raise BracketError(f"average power still falling at p1={_P1_FLOOR:g}")
-    t_opt = optimize.brentq(slope, t_lo, math.log(bound), xtol=_TOL_LOG_P1)
+    t_opt = brentq(slope, t_lo, math.log(bound), xtol=_TOL_LOG_P1)
     p1 = math.exp(t_opt)
     y = avg(p1)
     return PowerSolution(

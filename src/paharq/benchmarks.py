@@ -3,16 +3,27 @@
 Open loop means no channel feedback and equal power P in both rounds; its
 conditional retransmission outage has a polynomial-in-theta/P closed form
 obtained from a small-argument expansion of the Marcum tail, plus an exact
-quadrature reference.  The single-shot (no-retransmission) baseline is the
-plain Rayleigh outage.
+reference by adaptive Gauss-Kronrod quadrature.  The single-shot
+(no-retransmission) baseline is the plain Rayleigh outage.
 """
 
 import math
 
-from scipy import integrate, optimize
+import numpy as np
 
+from .allocation import QuadratureError, _gauss_kronrod
 from .channel import _check_sigma, cond_cdf_g2
 from .harq import PaharqError, Protocol, theta, theta1
+from .special import brentq
+
+# tolerance on the conditional outage: 1e-11 relative, as quad's was on
+# the integral, and 1e-14 (1 - e^-u) absolute, since the outage itself is
+# of order u = theta/P where u is small
+_OUTAGE_RTOL = 1e-11
+_OUTAGE_ATOL = 1e-14
+# panel splits into thirds: 3^-40 of the range is below a double's
+# resolution
+_MAX_SPLITS = 40
 
 
 class InfeasibleError(PaharqError, RuntimeError):
@@ -81,30 +92,78 @@ def open_loop_outage_exact(P: float, rate: float, sigma: float,
     RTD integrates P(g2 < theta/P - g1 | g1); INR integrates the
     mutual-information condition P(g2 < (theta - g1 P) / ((1 + g1 P) P) | g1).
     Reference implementation for validating both the closed forms and the
-    simulator.  The integral stops at min(theta/P, 745), where e^{-g1}
-    underflows; on a longer range quad would miss the mass near 0.
-    Clamped to [0, 1], which rounding can leave by a few ulps.
+    simulator.  The integral of e^-g1 times the CDF over
+    [0, min(theta/P, 745)], beyond which e^-g1 underflows, is adaptive, on
+    the allocation's 7/15-point Gauss-Kronrod rule.  Each round evaluates
+    the CDF at the nodes of every open panel in one array call, closes the
+    panels whose |Kronrod - Gauss| estimate is within their length's share
+    of the tolerance and splits the others into thirds; it stops once the
+    summed estimates are within the tolerance.  RTD starts from one panel;
+    INR, whose threshold moves on the scale of 1 + g1 P, from three on
+    which ln(1 + g1 P) grows by rate/3 each.  At small sigma the CDF falls
+    from 1 to 0 near the middle of the range (of g1 for RTD, of
+    ln(1 + g1 P) for INR), and a panel edge there would hide the fall from
+    the nodes of both neighbours: thirds never put one there.  The
+    integral is divided by the same rule's integral of e^-g1 on the same
+    panels, the round-one failure probability 1 - e^-u (held to 1e-11
+    relative), so a CDF of one gives exactly one.  The quotient is held to
+    max(1e-11 outage, 1e-14 (1 - e^-u)).  QuadratureError if a panel needs
+    more than 40 splits; clamped to [0, 1].
     """
     _check(P, sigma)
-    u = theta(rate) / P
+    th = theta(rate)
+    u = th / P
     if u <= 0.0:    # a zero rate or an infinite power never fails round one
         return 0.0
+    b = min(u, 745.0)
     if protocol is Protocol.RTD:
         arg = lambda x: u - x
+        edges = np.array([0.0, b])
     else:
-        arg = lambda x: (theta(rate) - x * P) / ((1.0 + x * P) * P)
-    f = lambda x: math.exp(-x) * cond_cdf_g2(arg(x), x, sigma)
-    val, _ = integrate.quad(f, 0.0, min(u, 745.0), epsabs=1e-14, epsrel=1e-11,
-                            limit=300)
-    return min(max(val / (-math.expm1(-u)), 0.0), 1.0)
+        arg = lambda x: (th - x * P) / ((1.0 + x * P) * P)
+        edges = np.array([min(math.expm1(rate * k / 3.0) / P, b)
+                          for k in range(4)])
+
+    def integrands(x):      # the CDF, and 1 for the failure probability
+        out = np.ones((2,) + x.shape)
+        out[0] = cond_cdf_g2(arg(x), x, sigma)
+        return out
+    lo, hi = edges[:-1], edges[1:]
+    # integrals of the CDF and of 1 over the closed panels, and their
+    # error estimates
+    val = fail = val_err = fail_err = 0.0
+    for _ in range(_MAX_SPLITS):
+        kronrod, err = _gauss_kronrod(lo, hi, integrands)
+        v, f = kronrod.sum(axis=1).tolist()
+        ev, ef = err.sum(axis=1).tolist()
+        tol_val = max(_OUTAGE_RTOL * (val + v), _OUTAGE_ATOL * (fail + f) ** 2)
+        tol_fail = _OUTAGE_RTOL * (fail + f)
+        split = None
+        if val_err + ev > tol_val or fail_err + ef > tol_fail:
+            share = (hi - lo) / b
+            split = (err[0] > tol_val * share) | (err[1] > tol_fail * share)
+        if split is None or not split.any():
+            return min(max((val + v) / (fail + f), 0.0), 1.0)
+        v, f = kronrod[:, ~split].sum(axis=1).tolist()
+        ev, ef = err[:, ~split].sum(axis=1).tolist()
+        val, fail = val + v, fail + f
+        val_err, fail_err = val_err + ev, fail_err + ef
+        lo, hi = lo[split], hi[split]
+        third = (hi - lo) / 3.0
+        lo, hi = (np.concatenate((lo, lo + third, hi - third)),
+                  np.concatenate((lo + third, hi - third, hi)))
+    raise QuadratureError(
+        f"open-loop outage integral not converged after {_MAX_SPLITS} "
+        f"splits (P={P:.6g}, rate={rate}, sigma={sigma}, "
+        f"protocol={protocol.value})")
 
 
 def open_loop_round_power(target_eps: float, rate: float, sigma: float,
                           protocol: Protocol = Protocol.RTD) -> float:
     """Per-round power P with closed-form outage equal to target_eps.
 
-    The closed form is monotone decreasing in P; Brent's method (brentq)
-    on log P to 0.001 dB.  Raises InfeasibleError when the target is below
+    The closed form is monotone decreasing in P; Brent's method on log P
+    to 0.001 dB.  Raises InfeasibleError when the target is below
     the outage floor at 1e12 or above the saturation value at 1e-6.
     """
     if not 0.0 < target_eps < 1.0:
@@ -116,8 +175,7 @@ def open_loop_round_power(target_eps: float, rate: float, sigma: float,
         raise InfeasibleError(
             f"outage target {target_eps} unreachable for rate={rate}, "
             f"sigma={sigma}, protocol={protocol.value}")
-    lp = optimize.brentq(f, lo, hi, xtol=1e-3 * math.log(10.0) / 10.0,
-                         maxiter=200)
+    lp = brentq(f, lo, hi, xtol=1e-3 * math.log(10.0) / 10.0, maxiter=200)
     return math.exp(lp)
 
 

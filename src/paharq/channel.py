@@ -14,7 +14,6 @@ import math
 
 import numpy as np
 from scipy import special as sp_special
-from scipy.interpolate import PchipInterpolator
 
 from .special import (
     inv_marcum_q1,
@@ -31,6 +30,7 @@ G_MAX = 50.0
 # g1 knots of the exact quantile table.  The average-power quadrature puts
 # its panel edges on them, so each panel sees one smooth cubic piece.
 QUANTILE_KNOTS = np.geomspace(1e-9, G_MAX, 513)
+_LOG_KNOTS = np.log(QUANTILE_KNOTS)
 
 # sigma = 0 makes the conditional distribution degenerate; this floor keeps
 # every formula finite.  Numerical guard, not a physical claim.
@@ -76,24 +76,29 @@ def sigma_from_geometry(v: float, delta: float, f_c: float,
     return min(max(sigma, SIGMA_MIN), 1.0)
 
 
-def cond_cdf_g2(x: float, g1: float, sigma: float) -> float:
-    """P(g2 <= x | g1): the noncentral chi-square CDF of 2 g2 / sigma^2.
+def cond_cdf_g2(x, g1, sigma: float):
+    """P(g2 <= x | g1): the noncentral chi-square CDF of 2 g2 / sigma^2,
+    elementwise over arrays x and g1 that broadcast together.
 
     Evaluated directly as the lower tail, so it keeps full relative accuracy
-    where it is small (one minus a Marcum Q tail would cancel there).  At
-    sigma = 1 the antennas decorrelate completely and this reduces to the
-    unit-mean exponential CDF 1 - exp(-x).
+    where it is small (one minus a Marcum Q tail would cancel there), and 0
+    for x <= 0.  At sigma = 1 the antennas decorrelate completely and this
+    reduces to the unit-mean exponential CDF 1 - exp(-x).  Scalars x and g1
+    give a float.
     """
     _check_sigma(sigma)
-    if not g1 >= 0:
-        raise ValueError(f"g1 must be >= 0, got {g1}")
-    if math.isnan(x):
-        raise ValueError(f"x must be a number, got {x}")
-    if x <= 0.0:
-        return 0.0
+    g = np.asarray(g1, dtype=float)
+    xs = np.asarray(x, dtype=float)
     s2 = sigma * sigma
-    return float(sp_special.chndtr(2.0 * x / s2, 2.0,
-                                   2.0 * g1 * (1.0 - s2) / s2))
+    # the CDF at x = 0 is 0; a NaN x or g1, or a g1 < 0, gives NaN
+    p = sp_special.chndtr(2.0 * np.maximum(xs, 0.0) / s2, 2.0,
+                          2.0 * g * (1.0 - s2) / s2)
+    if np.isnan(p).any():
+        if not (g >= 0).all():
+            raise ValueError(f"g1 must be >= 0, got {g.min()}")
+        if np.isnan(xs).any():
+            raise ValueError("x must be a number, got nan")
+    return float(p) if p.ndim == 0 else p
 
 
 def inv_cond_cdf_g2(eps: float, g1, sigma: float,
@@ -142,14 +147,67 @@ def inv_cond_cdf_g2(eps: float, g1, sigma: float,
     return float(x[0]) if np.ndim(g1) == 0 else x.reshape(np.shape(g1))
 
 
+def _pchip_slopes(x, y):
+    """Knot slopes of the monotone cubic through (x, y), x increasing:
+    the weighted harmonic mean of the neighbouring secants (Fritsch and
+    Butland, SIAM J. Sci. Stat. Comput. 5(2), 1984), 0 where they differ
+    in sign or one is 0, and a shape-preserving one-sided three-point
+    slope at each end (Moler, Numerical Computing with MATLAB, 2004).
+    Written as scipy's PchipInterpolator computes them, bit for bit."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+    d = np.zeros_like(y)
+    d[1:-1][~flat] = 1.0 / whmean[~flat]
+    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    return d
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """End slope from the end interval (h0, secant m0) and its neighbour
+    (h1, m1): 0 if it opposes m0, 3 m0 if larger where the secants turn."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _hermite_coefficients(x, y, d):
+    """(4, len(x) - 1) power-basis coefficients, highest degree first, of
+    the cubic Hermite pieces through (x, y) with knot slopes d; the piece
+    on [x[i], x[i+1]] is sum c[k, i] (t - x[i])^(3 - k)."""
+    h = np.diff(x)
+    secant = np.diff(y) / h
+    t = (d[:-1] + d[1:] - 2 * secant) / h
+    return np.stack((t / h, (secant - d[:-1]) / h - t, d[:-1], y[:-1]))
+
+
+def _hermite_eval(x, c, t):
+    """The piecewise cubic at t (any shape), the end pieces extended past
+    the first and last knots; NaN at NaN.  The terms add up from the
+    constant one, as scipy's PPoly adds them."""
+    i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
+    s = t - x[i]
+    s2 = s * s
+    return c[3, i] + c[2, i] * s + c[1, i] * s2 + c[0, i] * (s2 * s)
+
+
 class GainQuantile:
     """Vectorized eps-quantile of g2 given g1, for a fixed (eps, sigma).
 
     The closed-form methods evaluate inv_cond_cdf_g2 directly.  The exact
     method solves the Marcum inverse at g1 = 0 and on the QUANTILE_KNOTS
     grid once and interpolates log-quantile against log-g1 with a monotone
-    cubic; interpolation error is orders of magnitude below the Monte Carlo
-    resolutions it feeds.
+    cubic Hermite table (Fritsch and Carlson, SIAM J. Numer. Anal. 17(2),
+    1980); interpolation error is orders of magnitude below the Monte
+    Carlo resolutions it feeds.
     """
 
     def __init__(self, eps: float, sigma: float,
@@ -164,15 +222,17 @@ class GainQuantile:
             vals = inv_cond_cdf_g2(eps, np.concatenate(([0.0], QUANTILE_KNOTS)),
                                    sigma, method)
             self._x0 = vals[0]
-            self._interp = PchipInterpolator(np.log(QUANTILE_KNOTS),
-                                             np.log(vals[1:]), extrapolate=True)
+            log_vals = np.log(vals[1:])
+            self._coef = _hermite_coefficients(
+                _LOG_KNOTS, log_vals, _pchip_slopes(_LOG_KNOTS, log_vals))
 
     def __call__(self, g1):
         if self.method is not QuantileMethod.EXACT:
             return inv_cond_cdf_g2(self.eps, g1, self.sigma, self.method)
         g1 = np.asarray(g1, dtype=float)
         g_lo = QUANTILE_KNOTS[0]
-        out = np.exp(self._interp(np.log(np.maximum(g1, g_lo))))
+        out = np.exp(_hermite_eval(_LOG_KNOTS, self._coef,
+                                   np.log(np.maximum(g1, g_lo))))
         return np.where(g1 <= g_lo, self._x0, out)
 
 

@@ -263,14 +263,18 @@ def _sweep_point(sweep, config, master_seed, *coords):
     eps, rate, sigma = fields["eps"], fields["rate"], fields["sigma"]
     _check_sigma(sigma)
     no_retx = no_retx_required_power(eps, rate) if sweep.no_retx else None
+    # HarqConfig checks the rate, which fig5 takes from its config, before
+    # the table build that a bad rate would waste
+    cfgs = [HarqConfig(protocol=protocol, rate=rate, eps=eps)
+            for protocol in map(Protocol, protocols)]
     table = None
     if "numeric-exact" in methods:
         table = GainQuantile(eps, sigma, QuantileMethod.EXACT)
     out = []
     if sweep.no_retx == "first":
         out.append(_no_retx_row(no_retx, protocol="none", **fields))
-    for protocol in map(Protocol, protocols):
-        cfg = HarqConfig(protocol=protocol, rate=rate, eps=eps)
+    for cfg in cfgs:
+        protocol = cfg.protocol
         rows = []
         for method in methods:
             labels = dict(method=method, protocol=protocol.value, **fields)
@@ -648,6 +652,8 @@ def main(argv=None) -> int:
         if args.out and not os.access(os.path.dirname(args.out) or ".",
                                       os.W_OK):
             raise OSError(f"cannot write {args.out}: no writable directory")
+        if args.out and os.path.isdir(args.out):
+            raise OSError(f"cannot write {args.out}: it is a directory")
         if args.command == "eval":
             rows = run_eval(args.op, args.assignments)
         else:

@@ -9,15 +9,21 @@ the Lambert W function used by the closed-form power optimum.  scipy gives
 the principal branch; the lower branch, which the optimum needs near the
 branch point -1/e where scipy's is off, is hand-written.  A checked
 modified Bessel I_n is kept beside them; nothing numerical calls it.
+Brent's bracketed root finder, which the Marcum inverse and both power
+solvers use, is written out here, so the package needs no scipy module
+beyond scipy.special.
 """
 
 import math
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 _CHUNK = 2048
 _MAX_TERMS = 1 << 21
+
+# the smallest relative tolerance brentq accepts
+_BRENT_RTOL = 4 * np.finfo(float).eps
 
 # Quartic parameter polynomials of the stretched-exponential fit
 # Q1(s, rho) ~ exp(-exp(I(s)) * rho**J(s)), constant term first.
@@ -142,10 +148,8 @@ def inv_marcum_q1(s: float, p: float) -> float:
     if not s >= 0:
         raise ValueError(f"s must be >= 0, got {s}")
     t = math.sqrt(2.0 * math.log(2.0 / min(p, 1.0 - p))) + 2.0
-    rho = optimize.brentq(lambda rho: marcum_q1(s, rho) - p,
-                          max(s - t, 0.0), s + t, xtol=1e-300,
-                          rtol=4 * np.finfo(float).eps, maxiter=200)
-    return float(rho)
+    return brentq(lambda rho: marcum_q1(s, rho) - p, max(s - t, 0.0), s + t,
+                  xtol=1e-300, maxiter=200)
 
 
 def inv_marcum_q1_asymptotic(s: float, eps: float) -> float:
@@ -202,3 +206,73 @@ def lambert_w(x: float, branch: int = 0) -> float:
         if abs(dw) <= 4.0 * eps * abs(w):
             break
     return min(w, -1.0)
+
+
+def brentq(f, a: float, b: float, xtol: float = 2e-12,
+           rtol: float = _BRENT_RTOL, maxiter: int = 100) -> float:
+    """A root of f in [a, b], where f(a) and f(b) differ in sign.
+
+    Brent's method (Algorithms for Minimization without Derivatives, 1973)
+    as the C code of scipy's brentq runs it, step for step, so both
+    return the same bits: inverse quadratic or secant steps inside the
+    bracket, a bisection where a step would not shrink it enough, and a
+    stop once the bracket is under xtol + rtol |x|.  ValueError for a
+    tolerance below scipy's floors, f(a) and f(b) of one sign or an f
+    value of NaN; RuntimeError after maxiter steps without convergence.
+    """
+    if not xtol > 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if not rtol >= _BRENT_RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_BRENT_RTOL:g})")
+
+    def call(x):
+        fx = float(f(x))
+        if fx != fx:
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             f"solver cannot continue.")
+        return fx
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    # xcur is the best iterate, xblk the other end of the bracket, xpre
+    # the previous iterate; spre and scur are the last two steps
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:    # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:               # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, "
+                       f"value is {xcur}")

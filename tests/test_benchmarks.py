@@ -1,9 +1,14 @@
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import integrate
+from scipy.special import chndtr
 
+from paharq import benchmarks
 from paharq.benchmarks import (
     InfeasibleError,
     no_retx_outage,
@@ -16,6 +21,7 @@ from paharq.benchmarks import (
     zeta_rtd_closed,
     _zeta_closed_u,
 )
+from paharq.channel import cond_cdf_g2
 from paharq.harq import Protocol, theta, theta1
 
 
@@ -211,3 +217,106 @@ class TestNoRetx:
         for eps in (1e-4, 1e-2, 0.3):
             P = no_retx_required_power(eps, 2.0)
             assert no_retx_outage(P, 2.0) == pytest.approx(eps, rel=1e-10)
+
+
+def _outage_args(P, rate, sigma, protocol):
+    """u = theta/P, the CDF's threshold as a function of g1, and the upper
+    limit min(u, 745) of the outage integral."""
+    th = theta(rate)
+    u = th / P
+    if protocol is Protocol.RTD:
+        arg = lambda x: u - x
+    else:
+        arg = lambda x: (th - x * P) / ((1.0 + x * P) * P)
+    return u, arg, min(u, 745.0)
+
+
+def _outage_by_quad(P, rate, sigma, protocol):
+    """The former open-loop outage: QUADPACK's adaptive 21-point rule on
+    the scalar integrand, to 1e-14 absolute or 1e-11 relative."""
+    u, arg, b = _outage_args(P, rate, sigma, protocol)
+    f = lambda x: math.exp(-x) * cond_cdf_g2(arg(x), x, sigma)
+    val, _ = integrate.quad(f, 0.0, b, epsabs=1e-14, epsrel=1e-11, limit=300)
+    return min(max(val / (-math.expm1(-u)), 0.0), 1.0)
+
+
+@functools.cache
+def _outage_by_mpmath(P, rate, sigma, protocol):
+    """mpmath's tanh-sinh quadrature of the same double-precision chndtr
+    integrand, with breakpoints at eighths and decades of the range and
+    across the fall of the CDF from 1 to 0: where the threshold crosses the
+    conditional mean (1 - sigma^2) g1 + sigma^2, over +-10 standard
+    deviations ~ sigma sqrt(g1).  mpmath's tolerance is absolute, 10^-dps,
+    and the integral is of order u^2 below u = 1, so 20 digits are kept
+    beyond u^2."""
+    u, arg, b = _outage_args(P, rate, sigma, protocol)
+    s2 = sigma * sigma
+
+    def f(x):
+        x = float(x)
+        a = arg(x)
+        if a <= 0.0:
+            return mpmath.mpf(0)
+        return mpmath.exp(-x) * chndtr(2.0 * a / s2, 2.0,
+                                       2.0 * x * (1.0 - s2) / s2)
+    lo, hi = 0.0, b
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if arg(mid) > (1.0 - s2) * mid + s2 else (lo, mid)
+    w = sigma * math.sqrt(lo)
+    pts = {b * t for t in np.linspace(0.0, 1.0, 9)}
+    pts.update(b * 10.0 ** k for k in range(-12, 0))
+    pts.update(lo + k * w for k in range(-10, 11))
+    with mpmath.workdps(20 + max(0, math.ceil(-2.0 * math.log10(b)))):
+        val = mpmath.quad(f, sorted(x for x in pts if 0.0 <= x <= b))
+        return float(val / -mpmath.expm1(-u))
+
+
+class TestOutageIntegrator:
+    """The adaptive Gauss-Kronrod outage against quad, which it replaces.
+    Where the two differ by more than 1e-10, mpmath on the same chndtr
+    integrand decides, and it sides with the package every time: quad stops
+    on its 1e-14 absolute tolerance, which exceeds the whole integral at
+    small theta/P (INR at rate 4 off by 3e-7), or misses the fall of RTD's
+    CDF at sigma = 1e-3 when a panel edge sits on it."""
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    @pytest.mark.parametrize("sigma", [1e-3, 0.0224, 0.3, 0.8, 1.0])
+    def test_matches_quad_or_mpmath(self, protocol, sigma):
+        disputed = []
+        for rate in (0.5, 2.0, 4.0):
+            for u in np.geomspace(1e-8, 1e4, 25):
+                P = theta(rate) / u
+                ours = open_loop_outage_exact(P, rate, sigma, protocol)
+                ref = _outage_by_quad(P, rate, sigma, protocol)
+                if abs(ours - ref) > 1e-10 * ref:
+                    disputed.append((P, rate, ours, ref))
+        for P, rate, ours, ref in disputed:
+            exact = _outage_by_mpmath(P, rate, sigma, protocol)
+            assert ours == pytest.approx(exact, rel=1e-12, abs=0.0)
+            assert ref != pytest.approx(exact, rel=1e-10, abs=0.0)
+
+    def test_fall_at_half_the_threshold(self):
+        # at sigma = 1e-3 RTD's CDF falls from 1 to 0 within ~0.002 of
+        # theta/(2P), the midpoint of the range, where quad's first
+        # bisection puts a panel edge; at theta/P = 10^0.75 quad is off by
+        # 3.0e-5
+        P = theta(2.0) / 10 ** 0.75
+        exact = _outage_by_mpmath(P, 2.0, 1e-3, Protocol.RTD)
+        assert open_loop_outage_exact(P, 2.0, 1e-3, Protocol.RTD) == \
+            pytest.approx(exact, rel=1e-12, abs=0.0)
+        assert _outage_by_quad(P, 2.0, 1e-3, Protocol.RTD) == pytest.approx(
+            exact, rel=4e-5, abs=0.0)
+        assert _outage_by_quad(P, 2.0, 1e-3, Protocol.RTD) != pytest.approx(
+            exact, rel=1e-5, abs=0.0)
+
+    def test_one_array_call_of_the_cdf_per_round(self, monkeypatch):
+        calls = []
+
+        def recording(x, g1, sigma):
+            calls.append(np.shape(x))
+            return cond_cdf_g2(x, g1, sigma)
+        monkeypatch.setattr(benchmarks, "cond_cdf_g2", recording)
+        open_loop_outage_exact(1.0, 2.0, 1e-3, Protocol.RTD)
+        assert len(calls) >= 2
+        assert all(len(shape) == 2 and shape[1] == 15 for shape in calls)

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import special as sp_special
+from scipy.interpolate import PchipInterpolator
 
+from paharq import channel
 from paharq.channel import (
+    G_MAX,
     QUANTILE_KNOTS,
     SIGMA_MIN,
     SPEED_OF_LIGHT,
@@ -278,6 +281,59 @@ class TestGainQuantile:
             for i, g in enumerate(g1):
                 assert vec[i] == pytest.approx(
                     inv_cond_cdf_g2(1e-3, float(g), 0.8, method), rel=1e-12)
+
+
+class TestHermiteTable:
+    """The exact table's monotone cubic is scipy's PchipInterpolator, bit
+    for bit.  The knot values come from chndtrix here, so each table builds
+    in milliseconds; the table code does not depend on where they come
+    from."""
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        monkeypatch.setattr(
+            channel, "inv_cond_cdf_g2",
+            lambda eps, g1, sigma, method: _chndtrix_quantile(eps, sigma, g1))
+
+        def build(eps, sigma):
+            q = GainQuantile(eps, sigma)
+            vals = _chndtrix_quantile(eps, sigma,
+                                      np.concatenate(([0.0], QUANTILE_KNOTS)))
+            ref = PchipInterpolator(np.log(QUANTILE_KNOTS), np.log(vals[1:]),
+                                    extrapolate=True)
+
+            def expected(g1):   # the table's __call__ on scipy's interpolant
+                g1 = np.asarray(g1, dtype=float)
+                g_lo = QUANTILE_KNOTS[0]
+                out = np.exp(ref(np.log(np.maximum(g1, g_lo))))
+                return np.where(g1 <= g_lo, vals[0], out)
+            return q, ref, expected
+        return build
+
+    @pytest.mark.parametrize("eps,sigma", [(1e-3, 0.8), (1e-5, 0.5),
+                                           (1e-9, 0.8)])
+    def test_coefficients_equal_pchip(self, tables, eps, sigma):
+        q, ref, _ = tables(eps, sigma)
+        assert np.array_equal(q._coef, ref.c)
+
+    @pytest.mark.parametrize("eps,sigma", [(1e-3, 0.8), (1e-5, 0.5),
+                                           (1e-9, 0.8)])
+    def test_values_equal_pchip(self, tables, eps, sigma):
+        q, _, expected = tables(eps, sigma)
+        lo, hi = QUANTILE_KNOTS[:-1], QUANTILE_KNOTS[1:]
+        inside = np.concatenate([lo * (hi / lo) ** f
+                                 for f in (0.1, 0.5, 0.9)])
+        below = np.array([0.0, 1e-300, 1e-12, 0.5e-9, QUANTILE_KNOTS[0]])
+        beyond = np.array([G_MAX, np.nextafter(G_MAX, np.inf), 60.0, 1e3])
+        for g1 in (QUANTILE_KNOTS, inside, below, beyond):
+            np.testing.assert_array_equal(q(g1), expected(g1))
+        grid = np.random.default_rng(7).exponential(size=(3, 40, 5))
+        np.testing.assert_array_equal(q(grid), expected(grid))
+        assert q(grid).shape == grid.shape
+        with_nan = np.array([0.3, np.nan, 7.0])
+        np.testing.assert_array_equal(q(with_nan), expected(with_nan))
+        assert np.isnan(q(with_nan)[1])
+        assert float(q(2.0)) == float(expected(2.0))
 
 
 class TestSamplers:

@@ -220,8 +220,10 @@ def test_mc_verify_without_round_two_becomes_error_row(tmp_path):
                                     "open_loop_rate": [0.0],
                                     "open_loop_power_db": [10.0],
                                     "trials": 1000}),
-], ids=["fig4", "headline", "eval", "mc-verify"])
-def test_zero_rate_exits_one(tmp_path, capsys, argv, config):
+    (["fig5"], {"v_kmh": [60.0], "d_a_wavelengths": [1.5], "rate": 0.0}),
+], ids=["fig4", "headline", "eval", "mc-verify", "fig5"])
+def test_zero_rate_exits_one(tmp_path, capsys, no_table, argv, config):
+    # before any exact table is built
     out = tmp_path / "out.csv"
     if config is not None:
         path = tmp_path / "cfg.json"
@@ -235,11 +237,13 @@ def test_zero_rate_exits_one(tmp_path, capsys, argv, config):
 @pytest.mark.parametrize("argv,out", [
     (["headline"], "missing/x.csv"),
     (["eval", "theta", "rate=2"], "missing/x.csv"),
-    (["eval", "theta", "rate=2"], "."),     # a directory fails at the write
-], ids=["headline", "eval", "eval-directory"])
+    (["eval", "theta", "rate=2"], "."),
+    (["headline"], "."),
+], ids=["headline", "eval", "eval-directory", "headline-directory"])
 def test_unwritable_out_exits_one(tmp_path, capsys, monkeypatch, no_table,
                                   argv, out):
-    # a missing directory is found before any point runs
+    # a missing directory, or an --out that is one, is found before any
+    # point runs
     monkeypatch.chdir(tmp_path)
     assert main(argv + ["--out", out]) == 1
     err = capsys.readouterr().err
@@ -377,6 +381,58 @@ def test_cli_import_leaves_scipy_stats_out():
     code = ("import sys, paharq.cli; sys.exit('scipy.stats' in sys.modules"
             " or 'multiprocessing' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+# one point of each subcommand; sigma 0.99 keeps the exact tables cheap
+_ONE_POINT_RUNS = (
+    ("fig3", {"eps": [0.1], "rate": [0.5], "sigma": 0.99,
+              "protocols": ["rtd"], "methods": ["numeric-exact",
+                                                "closed-form"]}),
+    ("fig5", {"v_kmh": [60.0], "d_a_wavelengths": [1.5],
+              "protocols": ["inr"], "methods": ["numeric-asymptotic"]}),
+    ("headline", {"eps": 0.1, "rate": 0.5, "sigma": 0.99}),
+    ("fig4", {"eps": [0.1], "rate": [0.5], "trials": 1000}),
+    ("mc-verify", {"eps": [0.1], "sigma": [0.99], "open_loop_rate": [2.0],
+                   "open_loop_power_db": [10.0], "trials": 1000}),
+)
+
+
+def test_runs_load_no_scipy_solver_module(tmp_path):
+    # the package needs only numpy and scipy.special: its Brent root,
+    # Hermite table and Gauss-Kronrod outage stand in for scipy.optimize,
+    # scipy.interpolate and scipy.integrate, each of which would also load
+    # scipy.linalg and scipy.sparse and add ~0.3 s to every start-up
+    env = dict(os.environ, PYTHONPATH=str(Path(paharq.__file__).parents[1]))
+    code = f"""
+import json, sys
+import paharq.cli
+from paharq.cli import main
+BANNED = ("scipy.optimize", "scipy.integrate", "scipy.interpolate",
+          "scipy.linalg", "scipy.sparse")
+def check(stage):
+    loaded = sorted(m for m in sys.modules
+                    if ".".join(m.split(".")[:2]) in BANNED)
+    if loaded:
+        sys.exit(f"{{stage}} loaded {{loaded}}")
+check("import paharq.cli")
+for command, config in {_ONE_POINT_RUNS!r}:
+    path = {str(tmp_path)!r} + "/cfg.json"
+    with open(path, "w") as fh:
+        json.dump(config, fh)
+    argv = [command, "--config", path, "--out", path + ".csv"]
+    if command in ("fig4", "mc-verify"):
+        argv += ["--seed", "1"]
+    if main(argv) != 0:
+        sys.exit(f"{{command}} failed")
+    check(command)
+if main(["eval", "optimal-p1-numeric", "protocol=rtd", "rate=2", "eps=0.1",
+         "sigma=0.99"]) != 0:
+    sys.exit("eval failed")
+check("eval optimal-p1-numeric")
+"""
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def _crc(coords):
@@ -762,9 +818,10 @@ def test_fig4_rate_past_polynomial_overflow(tmp_path):
                                     "sigma": [1.0], "trials": 1000}),
     (["eval", "theta", "rate=800"], None),
 ], ids=["fig3", "fig4", "mc-verify", "fig5", "mc-verify-closed-loop", "eval"])
-def test_rate_past_threshold_overflow_exits_one(tmp_path, capsys, argv,
-                                                config):
-    # e^rate - 1 overflows a float above rate ~709.8: a config error
+def test_rate_past_threshold_overflow_exits_one(tmp_path, capsys, no_table,
+                                                argv, config):
+    # e^rate - 1 overflows a float above rate ~709.8: a config error,
+    # found before any exact table is built
     out = tmp_path / "out.csv"
     if config is not None:
         path = tmp_path / "cfg.json"

@@ -5,12 +5,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy import integrate, special as sp
+from scipy import integrate, optimize, special as sp
 from scipy.stats import ncx2
 
-from paharq import special
+from paharq import allocation, benchmarks, special
+from paharq.channel import QuantileMethod
+from paharq.harq import HarqConfig, Protocol
 from paharq.special import (
     bessel_i,
+    brentq,
     inv_marcum_q1,
     inv_marcum_q1_asymptotic,
     lambert_w,
@@ -209,6 +212,73 @@ class TestInverseMarcum:
         rho = inv_marcum_q1(s, p)
         assert rho in seen
         assert len(seen) == len(set(seen))
+
+
+def _twin_brentq(monkeypatch, module):
+    """Make `module` solve each root with both the package's brentq and
+    scipy's, on the same function and arguments, and record the pairs."""
+    pairs = []
+
+    def both(f, a, b, **kwargs):
+        ours = brentq(f, a, b, **kwargs)
+        pairs.append((ours, optimize.brentq(f, a, b, **kwargs)))
+        return ours
+
+    monkeypatch.setattr(module, "brentq", both)
+    return pairs
+
+
+class TestBrentq:
+    """The port of scipy's C brentq takes the same steps, so every root the
+    package solves has the bits scipy's would give it."""
+
+    def test_marcum_inversions_equal_scipy(self, monkeypatch):
+        pairs = _twin_brentq(monkeypatch, special)
+        for s in np.linspace(0.0, 30.0, 7):
+            for q in np.geomspace(1e-9, 0.5, 7):
+                inv_marcum_q1(float(s), 1.0 - float(q))
+        assert len(pairs) == 49
+        assert all(ours == ref for ours, ref in pairs), pairs
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    @pytest.mark.parametrize("method", [QuantileMethod.EXACT,
+                                        QuantileMethod.ASYMPTOTIC,
+                                        QuantileMethod.WEIBULL])
+    def test_optimizer_slope_roots_equal_scipy(self, monkeypatch, qcache,
+                                               protocol, method):
+        pairs = _twin_brentq(monkeypatch, allocation)
+        quantile = qcache.get(1e-3, 0.8, method)
+        for rate in (0.5, 2.0, 10.0):
+            allocation.optimal_p1_numeric(HarqConfig(protocol, rate, 1e-3),
+                                          0.8, method, quantile=quantile)
+        assert len(pairs) == 3
+        assert all(ours == ref for ours, ref in pairs), pairs
+
+    def test_open_loop_round_powers_equal_scipy(self, monkeypatch):
+        pairs = _twin_brentq(monkeypatch, benchmarks)
+        for protocol in Protocol:
+            for eps in (1e-4, 1e-2, 0.1):
+                for rate in (0.5, 2.0):
+                    for sigma in (0.3, 0.8, 1.0):
+                        benchmarks.open_loop_round_power(eps, rate, sigma,
+                                                         protocol)
+        assert len(pairs) == 36
+        assert all(ours == ref for ours, ref in pairs), pairs
+
+    @pytest.mark.parametrize("f,kwargs,error", [
+        (lambda x: x * x + 1.0, {}, ValueError),          # no sign change
+        (lambda x: math.nan if x > 0.5 else x - 0.7, {}, ValueError),
+        (lambda x: x - 0.3, {"xtol": 1e-300, "maxiter": 2}, RuntimeError),
+    ], ids=["sign", "nan", "maxiter"])
+    def test_errors_match_scipy(self, f, kwargs, error):
+        for solve in (brentq, optimize.brentq):
+            with pytest.raises(error):
+                solve(f, -1.0, 1.0, **kwargs)
+
+    def test_rejects_tolerances_below_scipy_floors(self):
+        for kwargs in ({"xtol": 0.0}, {"rtol": 1e-17}):
+            with pytest.raises(ValueError, match="too small"):
+                brentq(lambda x: x, -1.0, 1.0, **kwargs)
 
 
 class TestInverseMarcumAsymptotic:
