@@ -89,15 +89,14 @@ def cond_cdf_g2(x, g1, sigma: float):
     _check_sigma(sigma)
     g = np.asarray(g1, dtype=float)
     xs = np.asarray(x, dtype=float)
+    if not (g >= 0).all():
+        raise ValueError(f"g1 must be >= 0, got {g.min()}")
     s2 = sigma * sigma
-    # the CDF at x = 0 is 0; a NaN x or g1, or a g1 < 0, gives NaN
+    # the CDF at x = 0 is 0; a NaN x gives NaN
     p = sp_special.chndtr(2.0 * np.maximum(xs, 0.0) / s2, 2.0,
                           2.0 * g * (1.0 - s2) / s2)
-    if np.isnan(p).any():
-        if not (g >= 0).all():
-            raise ValueError(f"g1 must be >= 0, got {g.min()}")
-        if np.isnan(xs).any():
-            raise ValueError("x must be a number, got nan")
+    if np.isnan(p).any() and np.isnan(xs).any():
+        raise ValueError("x must be a number, got nan")
     return float(p) if p.ndim == 0 else p
 
 

@@ -22,7 +22,7 @@ from scipy import special
 _CHUNK = 2048
 _MAX_TERMS = 1 << 21
 
-# the smallest relative tolerance brentq accepts
+# brentq's relative tolerance: scipy's default and the smallest it accepts
 _BRENT_RTOL = 4 * np.finfo(float).eps
 
 # Quartic parameter polynomials of the stretched-exponential fit
@@ -208,22 +208,19 @@ def lambert_w(x: float, branch: int = 0) -> float:
     return min(w, -1.0)
 
 
-def brentq(f, a: float, b: float, xtol: float = 2e-12,
-           rtol: float = _BRENT_RTOL, maxiter: int = 100) -> float:
+def brentq(f, a: float, b: float, xtol: float, maxiter: int = 100) -> float:
     """A root of f in [a, b], where f(a) and f(b) differ in sign.
 
     Brent's method (Algorithms for Minimization without Derivatives, 1973)
     as the C code of scipy's brentq runs it, step for step, so both
     return the same bits: inverse quadratic or secant steps inside the
     bracket, a bisection where a step would not shrink it enough, and a
-    stop once the bracket is under xtol + rtol |x|.  ValueError for a
-    tolerance below scipy's floors, f(a) and f(b) of one sign or an f
-    value of NaN; RuntimeError after maxiter steps without convergence.
+    stop once the bracket is under xtol + 4 eps |x|, scipy's default rtol.
+    ValueError for xtol <= 0, f(a) and f(b) of one sign or an f value of
+    NaN; RuntimeError after maxiter steps without convergence.
     """
     if not xtol > 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if not rtol >= _BRENT_RTOL:
-        raise ValueError(f"rtol too small ({rtol:g} < {_BRENT_RTOL:g})")
 
     def call(x):
         fx = float(f(x))
@@ -249,7 +246,7 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12,
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur

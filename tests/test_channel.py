@@ -114,6 +114,14 @@ class TestConditionalCdf:
         with pytest.raises(ValueError, match=message):
             cond_cdf_g2(x, g1, 0.8)
 
+    def test_rejects_negative_gain_at_sigma_one(self):
+        # at sigma = 1 the noncentrality 2 g1 (1 - sigma^2) / sigma^2 is
+        # -0.0, which chndtr takes as valid, so g1 is checked on its own
+        with pytest.raises(ValueError, match="g1 must be >= 0"):
+            cond_cdf_g2(0.1, -1.0, 1.0)
+        with pytest.raises(ValueError, match="g1 must be >= 0"):
+            cond_cdf_g2(np.array([0.1, 0.2]), np.array([1.0, -1.0]), 1.0)
+
     def test_small_lower_tail_keeps_relative_accuracy(self):
         # P(g2 <= x | g1) ~ (x / sigma^2) exp(-g1 (1 - sigma^2) / sigma^2) as
         # x -> 0; one minus a Marcum tail loses ~1e-6 of it to cancellation
