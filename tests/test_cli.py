@@ -613,13 +613,6 @@ def test_eval_sigma_below_floor_exits_one(argv, capsys):
     assert captured.out == "" and captured.err == _BELOW_FLOOR
 
 
-def test_eval_negative_gain_at_sigma_one_exits_one(capsys):
-    assert main(["eval", "cond-cdf-g2", "x=1", "g1=-1", "sigma=1"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: g1 must be >= 0, got -1.0\n"
-
-
 @pytest.mark.parametrize("argv", [
     ["v=inf", "delta=1", "f_c=1e9", "d_a=1"],
     ["v=1e308", "delta=10", "f_c=1e9", "d_a=1"],
