@@ -231,12 +231,12 @@ def optimal_p1_numeric(cfg: HarqConfig, sigma: float,
     1e-3 dB; BracketError if the slope at the floor is >= 0, the bound is
     at or under it, or an average power is not finite.  Diagnostics: the
     slope of log avg in log p1 at the root and the integrals computed.
-    One P2Rule, and so one table, serves the slope and every average power.
+    One table serves the slope and every average power.
     """
     rule = P2Rule(cfg, sigma, method, jensen_fallback=False, quantile=quantile)
 
-    def avg(p1):    # at p1 = inf the node g1 = 0 would give 0 * inf
-        y = p1 + _integral(rule, rule, p1, p1) if p1 < math.inf else p1
+    def avg(p1):
+        y = avg_power_given_p1(p1, cfg, sigma, method, quantile=rule.quantile)
         if not math.isfinite(y):
             raise BracketError(f"average power not finite at p1={p1:.6g}")
         return y

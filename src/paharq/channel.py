@@ -84,7 +84,8 @@ def cond_cdf_g2(x, g1, sigma: float):
     where it is small (one minus a Marcum Q tail would cancel there), and 0
     for x <= 0.  At sigma = 1 the antennas decorrelate completely and this
     reduces to the unit-mean exponential CDF 1 - exp(-x).  Scalars x and g1
-    give a float.
+    give a float.  ValueError for a NaN value: a NaN x, or scipy's chndtr
+    failing (NaN near x = g1 once 2 x / sigma^2 passes ~1e11).
     """
     _check_sigma(sigma)
     g = np.asarray(g1, dtype=float)
@@ -95,8 +96,13 @@ def cond_cdf_g2(x, g1, sigma: float):
     # the CDF at x = 0 is 0; a NaN x gives NaN
     p = sp_special.chndtr(2.0 * np.maximum(xs, 0.0) / s2, 2.0,
                           2.0 * g * (1.0 - s2) / s2)
-    if np.isnan(p).any() and np.isnan(xs).any():
-        raise ValueError("x must be a number, got nan")
+    nan = np.isnan(p)
+    if nan.any():
+        if np.isnan(xs).any():
+            raise ValueError("x must be a number, got nan")
+        xb, gb = (np.broadcast_to(a, p.shape)[nan][0] for a in (xs, g))
+        raise ValueError(f"the conditional CDF is not a number at x={xb:g}, "
+                         f"g1={gb:g}, sigma={sigma:g}")
     return float(p) if p.ndim == 0 else p
 
 

@@ -359,17 +359,16 @@ def _fig4_point(config, master_seed, rate, eps, protocol_name):
 # mc-verify: closed forms vs simulation
 # ---------------------------------------------------------------------------
 
-def _z_row(check, reference, estimate, se, upper_bound=False, limit=3.0,
-           **coords):
-    """A row failed beyond `limit` standard errors: |z| by default, signed z
+def _z_row(check, reference, estimate, se, upper_bound=False, **coords):
+    """A row failed beyond 3 standard errors: |z| by default, signed z
     when the reference only bounds the estimate from above."""
     diff = estimate - reference
     z = (diff if upper_bound else abs(diff)) / se if se > 0 else math.inf
     row = _row(check=check, reference=reference, estimate=estimate,
                se=se, z_score=z, **coords)
-    if z > limit:
+    if z > 3.0:
         row["error"] = (f"upper bound violated by z={z:.2f}" if upper_bound
-                        else f"z={z:.2f} exceeds {limit}")
+                        else f"z={z:.2f} exceeds 3.0")
     return row
 
 
@@ -563,7 +562,7 @@ def _apply(job):
     return fn(config, master_seed, *coords)
 
 
-def _run(grid, config: dict, master_seed, workers: int = 1):
+def _run(grid, config: dict, master_seed, workers: int):
     """The rows of every point of a grid, in grid order, whatever the
     number of worker processes."""
     jobs = [(fn, config, master_seed, coords) for fn, axes in grid
@@ -580,21 +579,14 @@ def _run(grid, config: dict, master_seed, workers: int = 1):
     return [row for rows in nested for row in rows]
 
 
-_METHOD_FLAG = {
-    "exact": ["numeric-exact"],
-    "approx": ["numeric-weibull"],
-    "closed": ["closed-form"],
-}
-
 # every subcommand but eval: the flags it adds to --config, --out and
-# --workers ("seed" for --seed and --trials, "method" for --method), and
-# its grid: point functions, each called as fn(config, master seed,
-# *coords) over the product of its axes (config lists, or constants),
-# outermost first
+# --workers ("seed" for --seed and --trials), and its grid: point
+# functions, each called as fn(config, master seed, *coords) over the
+# product of its axes (config lists, or constants), outermost first
 _COMMANDS = {
-    "fig3": ("method", [(partial(_sweep_point, _FIG3), _FIG3.grid)]),
+    "fig3": ("", [(partial(_sweep_point, _FIG3), _FIG3.grid)]),
     "fig4": ("seed", [(_fig4_point, ("rate", "eps", "protocols"))]),
-    "fig5": ("method", [(partial(_sweep_point, _FIG5), _FIG5.grid)]),
+    "fig5": ("", [(partial(_sweep_point, _FIG5), _FIG5.grid)]),
     "headline": ("", [(partial(_sweep_point, _HEADLINE), ())]),
     "mc-verify": ("seed", [
         (_closed_loop_rows, (_PROTOCOLS, "eps", "sigma")),
@@ -633,9 +625,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                  help="master seed for Monte Carlo columns")
             command.add_argument("--trials", type=int,
                                  help="Monte Carlo trials per point")
-        if flags == "method":
-            command.add_argument("--method", choices=list(_METHOD_FLAG),
-                                 help="run only this optimization route")
     eval_parser = sub.add_parser("eval")
     eval_parser.add_argument("op")
     eval_parser.add_argument("assignments", nargs="*",
@@ -660,10 +649,8 @@ def main(argv=None) -> int:
             flags, grid = _COMMANDS[args.command]
             if args.workers < 1:
                 parser.error(f"--workers must be >= 1, got {args.workers}")
-            overrides = {"trials": getattr(args, "trials", None)}
-            if getattr(args, "method", None):
-                overrides["methods"] = _METHOD_FLAG[args.method]
-            config = _load_config(args.command, args.config, overrides)
+            config = _load_config(args.command, args.config,
+                                  {"trials": getattr(args, "trials", None)})
             seed = None
             if flags == "seed":
                 seed = args.seed if args.seed is not None else config.get("seed")
@@ -674,8 +661,12 @@ def main(argv=None) -> int:
                                  f"got {json.dumps(seed)}")
                 if seed < 0:
                     parser.error(f"the master seed must be >= 0, got {seed}")
-                if config["trials"] < 1:
-                    parser.error(f"trials must be >= 1, got {config['trials']}")
+                trials = config["trials"]
+                if not (isinstance(trials, int) or trials.is_integer()):
+                    parser.error(f"trials must be a finite integer, "
+                                 f"got {trials}")
+                if trials < 1:
+                    parser.error(f"trials must be >= 1, got {trials}")
             rows = _run(grid, config, seed, args.workers)
         _write_csv(rows, args.out)
     except (OSError, ValueError) as exc:

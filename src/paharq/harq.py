@@ -87,7 +87,7 @@ class HarqConfig:
 
 
 def _round_two_numerator(protocol: Protocol, cfg: HarqConfig, jensen: bool,
-                         g1, p1, jensen_fallback: bool = True):
+                         g1, p1, jensen_fallback: bool):
     """Numerator of P2 = numerator / quantile (p2_rtd and p2_inr give the
     formulas), and, when `jensen`, the mask of failed round-one points
     where INR's Jensen numerator is nonpositive (None otherwise).  There

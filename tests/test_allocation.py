@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate, special
 from scipy.optimize import minimize_scalar
 
-from paharq import allocation
+from paharq import allocation, harq
 from paharq.allocation import (
     BracketError,
     ClosedFormDomainError,
@@ -334,21 +334,23 @@ class TestNumericOptimum:
         with pytest.raises(BracketError, match="not finite at p1=inf"):
             optimal_p1_numeric(cfg(eps=5e-324), 0.8, QuantileMethod.ASYMPTOTIC)
 
+    @pytest.mark.parametrize("prebuilt", [False, True])
     @pytest.mark.parametrize("method", list(QuantileMethod))
-    def test_builds_one_rule_per_solve(self, qcache, monkeypatch, method):
-        # the slope and every average power of a solve share one rule
+    def test_builds_one_table_per_solve(self, qcache, monkeypatch, method,
+                                        prebuilt):
+        # the slope and every average power of a solve share one table:
+        # the one passed in, or else the one its rule builds
         built = []
 
-        class CountingRule(P2Rule):
-            def __init__(self, *args, **kwargs):
-                built.append(args)
-                super().__init__(*args, **kwargs)
-        monkeypatch.setattr(allocation, "P2Rule", CountingRule)
-        q = qcache.get(1e-3, 0.8, method)
+        def counting(eps, sigma, method):
+            built.append(method)
+            return qcache.get(eps, sigma, method)
+        monkeypatch.setattr(harq, "GainQuantile", counting)
+        q = qcache.get(1e-3, 0.8, method) if prebuilt else None
         for protocol in Protocol:
             built.clear()
             optimal_p1_numeric(cfg(protocol), 0.8, method, quantile=q)
-            assert len(built) == 1
+            assert built == ([] if prebuilt else [method])
 
 
 class TestSlope:

@@ -114,6 +114,18 @@ class TestConditionalCdf:
         with pytest.raises(ValueError, match=message):
             cond_cdf_g2(x, g1, 0.8)
 
+    @pytest.mark.parametrize("x,g1", [
+        (5e5, 5e5),
+        (np.array([0.1, 5e5]), 5e5),
+        (5e5, np.array([[1.0], [5e5]])),
+    ])
+    def test_nan_from_chndtr_names_its_arguments(self, x, g1):
+        # scipy's chndtr returns NaN near x = lambda = 1e12 for these valid
+        # arguments; the error names the first point where it does
+        with pytest.raises(ValueError, match=r"not a number at x=500000, "
+                                             r"g1=500000, sigma=0\.001$"):
+            cond_cdf_g2(x, g1, 0.001)
+
     def test_rejects_negative_gain_at_sigma_one(self):
         # at sigma = 1 the noncentrality 2 g1 (1 - sigma^2) / sigma^2 is
         # -0.0, which chndtr takes as valid, so g1 is checked on its own

@@ -86,14 +86,14 @@ def test_fig3_small_grid(tmp_path):
             assert method_rows[(eps, "inr")] <= method_rows[(eps, "rtd")]
 
 
-def test_fig3_method_flag_restricts(tmp_path):
+def test_fig3_methods_key_restricts(tmp_path):
     out = tmp_path / "fig3.csv"
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({
         "eps": [1e-2], "rate": [0.5], "sigma": 0.8, "protocols": ["rtd"],
+        "methods": ["closed-form"],
     }))
-    assert main(["fig3", "--config", str(config), "--method", "closed",
-                 "--out", str(out)]) == 0
+    assert main(["fig3", "--config", str(config), "--out", str(out)]) == 0
     methods = {r["method"] for r in read_csv(out)}
     assert methods == {"closed-form", "no-retx"}
 
@@ -260,9 +260,11 @@ def test_bad_config_exits_one(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["fig3", "--bogus"],
     ["fig4"],                                # --seed is required
-    ["headline", "--method", "closed"],      # --method is fig3/fig5 only
-    ["mc-verify", "--seed", "1", "--method", "exact"],
-    ["fig3", "--method", "mc"],
+    ["headline", "--method", "closed"],      # routes are named only by
+    ["mc-verify", "--seed", "1", "--method", "exact"],   # the config's
+    ["fig3", "--method", "mc"],              # methods key
+    ["fig3", "--method", "closed"],
+    ["fig5", "--method", "exact"],
     ["fig3", "--seed", "1"],                 # --seed/--trials: fig4 and
     ["fig5", "--trials", "1000"],            # mc-verify only
     ["headline", "--seed", "1"],
@@ -288,6 +290,33 @@ def test_config_trials_below_one_exit_one(tmp_path, capsys):
         main(["mc-verify", "--seed", "1", "--config", str(config)])
     assert exc.value.code == 1
     assert "trials must be >= 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fig4", "mc-verify"])
+@pytest.mark.parametrize("trials,shown", [
+    (1000.7, "1000.7"), (999.5, "999.5"), (math.inf, "inf"),
+    (-math.inf, "-inf"), (math.nan, "nan"),
+])
+def test_config_trials_not_an_integer_exit_one(tmp_path, capsys, no_table,
+                                               command, trials, shown):
+    # json.dumps writes the non-finite values as Infinity and NaN, which
+    # json.load reads back
+    config = dict(_SMALL_CONFIGS[command], trials=trials)
+    with pytest.raises(SystemExit) as exc:
+        _run_config(tmp_path, command, config)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert f"error: trials must be a finite integer, got {shown}\n" in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_config_trials_integral_float_runs(tmp_path):
+    config = dict(_SMALL_CONFIGS["fig4"], trials=1e3)
+    assert _run_config(tmp_path, "fig4", config) == 0
+    closed = [r for r in read_csv(tmp_path / "o.csv")
+              if r["method"] == "closed-form"]
+    assert [r["n_trials"] for r in closed] == ["1000"]
 
 
 def test_fig3_one_in_a_billion_rate_20_solves(tmp_path):
@@ -649,9 +678,12 @@ def test_eval_infinite_p1_is_infinite(op, capsys):
     (["marcum-q1", "s=1e300", "rho=1e300"], "s=1e+300, rho=1e+300"),
     (["inv-cond-cdf-g2", "eps=1e-300", "g1=1", "sigma=0.8"],
      "eps > 2**-54"),
+    (["cond-cdf-g2", "x=5e5", "g1=5e5", "sigma=0.001"],
+     "x=500000, g1=500000, sigma=0.001"),
 ])
 def test_eval_input_without_float_value_exits_one(argv, message, capsys):
-    # the Q1 series does not converge, or 1 - eps rounds to 1
+    # the Q1 series does not converge, 1 - eps rounds to 1, or chndtr
+    # returns NaN
     assert main(["eval", *argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -672,15 +704,16 @@ def test_eval_library_error_becomes_row(argv, message, capsys):
     assert message in row["error"]
 
 
-@pytest.mark.parametrize("method", ["closed", "approx", "exact"])
+@pytest.mark.parametrize("method", ["closed-form", "numeric-weibull",
+                                    "numeric-exact"])
 def test_sigma_outside_unit_interval_exits_one(tmp_path, capsys, method):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({
         "eps": [1e-2], "rate": [0.5], "sigma": 1.5, "protocols": ["rtd"],
+        "methods": [method],
     }))
     out = tmp_path / "fig3.csv"
-    assert main(["fig3", "--config", str(config), "--method", method,
-                 "--out", str(out)]) == 1
+    assert main(["fig3", "--config", str(config), "--out", str(out)]) == 1
     assert "sigma must be in (0, 1], got 1.5" in capsys.readouterr().err
     assert not out.exists()
 
