@@ -152,36 +152,19 @@ def inv_cond_cdf_g2(eps: float, g1, sigma: float,
     return float(x[0]) if np.ndim(g1) == 0 else x.reshape(np.shape(g1))
 
 
-def _pchip_slopes(x, y):
-    """Knot slopes of the monotone cubic through (x, y), x increasing:
-    the weighted harmonic mean of the neighbouring secants (Fritsch and
-    Butland, SIAM J. Sci. Stat. Comput. 5(2), 1984), 0 where they differ
-    in sign or one is 0, and a shape-preserving one-sided three-point
-    slope at each end (Moler, Numerical Computing with MATLAB, 2004).
-    Written as scipy's PchipInterpolator computes them, bit for bit."""
-    h = np.diff(x)
-    m = np.diff(y) / h
-    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
-    w1 = 2 * h[1:] + h[:-1]
-    w2 = h[1:] + 2 * h[:-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-    d = np.zeros_like(y)
-    d[1:-1][~flat] = 1.0 / whmean[~flat]
-    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
-    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
-    return d
-
-
-def _pchip_end_slope(h0, h1, m0, m1):
-    """End slope from the end interval (h0, secant m0) and its neighbour
-    (h1, m1): 0 if it opposes m0, 3 m0 if larger where the secants turn."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
+def _log_quantile_slopes(g1, x, sigma: float):
+    """d ln x / d ln g1 along a quantile curve cond_cdf_g2(x, g1) = eps,
+    at points (g1, x) on it.  With X = 2 x / sigma^2 and lam = 2 g1
+    (1 - sigma^2) / sigma^2 the curve is F_2(X; lam) = eps, for F_k the
+    noncentral chi-square CDF with density f_k.  As dF_k/dlam =
+    (F_{k+2} - F_k) / 2 = -f_{k+2}, implicit differentiation gives
+    dX/dlam = f_4 / f_2 = sqrt(X / lam) I1(sqrt(lam X)) / I0(sqrt(lam X)),
+    so d ln X / d ln lam, which is the slope, is sqrt(lam / X) I1 / I0."""
+    s2 = sigma * sigma
+    lam = 2.0 * g1 * (1.0 - s2) / s2
+    big_x = 2.0 * x / s2
+    z = np.sqrt(lam * big_x)
+    return np.sqrt(lam / big_x) * sp_special.i1e(z) / sp_special.i0e(z)
 
 
 def _hermite_coefficients(x, y, d):
@@ -209,10 +192,12 @@ class GainQuantile:
 
     The closed-form methods evaluate inv_cond_cdf_g2 directly.  The exact
     method solves the Marcum inverse at g1 = 0 and on the QUANTILE_KNOTS
-    grid once and interpolates log-quantile against log-g1 with a monotone
-    cubic Hermite table (Fritsch and Carlson, SIAM J. Numer. Anal. 17(2),
-    1980); interpolation error is orders of magnitude below the Monte
-    Carlo resolutions it feeds.
+    grid once and interpolates log-quantile against log-g1 over
+    [0, G_MAX] with a cubic Hermite table whose knot slopes are the exact
+    derivative (`_log_quantile_slopes`).  At sigma = 0.8 it is off by at
+    most 7.0e-7 relative between knots at eps = 1e-3 and 5.2e-6 at
+    eps = 1e-5, orders of magnitude below the Monte Carlo resolutions it
+    feeds.  Past G_MAX the end cubic is extrapolated.
     """
 
     def __init__(self, eps: float, sigma: float,
@@ -227,9 +212,9 @@ class GainQuantile:
             vals = inv_cond_cdf_g2(eps, np.concatenate(([0.0], QUANTILE_KNOTS)),
                                    sigma, method)
             self._x0 = vals[0]
-            log_vals = np.log(vals[1:])
             self._coef = _hermite_coefficients(
-                _LOG_KNOTS, log_vals, _pchip_slopes(_LOG_KNOTS, log_vals))
+                _LOG_KNOTS, np.log(vals[1:]),
+                _log_quantile_slopes(QUANTILE_KNOTS, vals[1:], sigma))
 
     def __call__(self, g1):
         if self.method is not QuantileMethod.EXACT:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import special as sp_special
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline
 
 from paharq import channel
 from paharq.channel import (
@@ -255,32 +255,33 @@ def _chndtrix_quantile(eps, sigma, g1):
 
 class TestGainQuantile:
     def test_table_matches_scalar_inverse(self, qcache):
-        # between knots the table is off by at most 2.2e-5 relative at
+        # at these gains the table is off by at most 1.1e-7 relative at
         # eps = 1e-3, far below anything the Monte Carlo or optimizer
         # consumers resolve
         q = qcache.get(1e-3, 0.8)
         for g1 in (0.0, 1e-6, 0.2, 1.0, 7.0, 45.0):
             direct = inv_cond_cdf_g2(1e-3, g1, 0.8, QuantileMethod.EXACT)
-            assert float(q(g1)) == pytest.approx(direct, rel=3e-5)
+            assert float(q(g1)) == pytest.approx(direct, rel=3e-7)
 
-    @pytest.mark.parametrize("eps", [1e-3, 1e-5])
-    def test_between_knots_against_chndtrix(self, qcache, eps):
+    @pytest.mark.parametrize("eps,rtol", [(1e-3, 1.5e-6), (1e-5, 1.1e-5)])
+    def test_between_knots_against_chndtrix(self, qcache, eps, rtol):
         # scipy's noncentral chi-square inverse as an independent reference,
         # at the geometric midpoint of every knot interval, where the table
-        # is off by at most 5.1e-6 (eps = 1e-3) and 3.6e-5 (eps = 1e-5)
+        # is furthest off: at most 7.0e-7 (eps = 1e-3) and 5.2e-6
+        # (eps = 1e-5) relative, near g1 = 11 and 18; each bound is about
+        # twice that
         mid = np.sqrt(QUANTILE_KNOTS[1:] * QUANTILE_KNOTS[:-1])
         assert mid.size == 512
         np.testing.assert_allclose(qcache.get(eps, 0.8)(mid),
                                    _chndtrix_quantile(eps, 0.8, mid),
-                                   rtol=1e-4, atol=0.0)
+                                   rtol=rtol, atol=0.0)
 
-    @pytest.mark.parametrize("eps,rtol", [(1e-3, 5e-5), (1e-5, 2e-4)])
+    @pytest.mark.parametrize("eps,rtol", [(1e-3, 6e-7), (1e-5, 5e-6)])
     @pytest.mark.parametrize("frac", [0.2, 0.8])
     def test_off_midpoint_against_chndtrix(self, qcache, eps, rtol, frac):
-        # 20 % and 80 % of the way (in log g1) through each knot interval
-        # the cubic is further off than at the midpoint: at sigma = 0.8 at
-        # most 2.2e-5 (eps = 1e-3) and 1.0e-4 (eps = 1e-5) relative, near
-        # g1 = 9 and 16; each bound is twice that
+        # 20 % and 80 % of the way (in log g1) through each knot interval:
+        # at sigma = 0.8 at most 2.9e-7 (eps = 1e-3) and 2.1e-6 (eps = 1e-5)
+        # relative; each bound is about twice that
         lo, hi = QUANTILE_KNOTS[:-1], QUANTILE_KNOTS[1:]
         g1 = lo * (hi / lo) ** frac
         np.testing.assert_allclose(qcache.get(eps, 0.8)(g1),
@@ -304,10 +305,10 @@ class TestGainQuantile:
 
 
 class TestHermiteTable:
-    """The exact table's monotone cubic is scipy's PchipInterpolator, bit
-    for bit.  The knot values come from chndtrix here, so each table builds
-    in milliseconds; the table code does not depend on where they come
-    from."""
+    """The exact table is scipy's CubicHermiteSpline through the log knots
+    with the exact log slopes, bit for bit.  The knot values come from
+    chndtrix here, so each table builds in milliseconds; the table code
+    does not depend on where they come from."""
 
     @pytest.fixture
     def tables(self, monkeypatch):
@@ -319,8 +320,10 @@ class TestHermiteTable:
             q = GainQuantile(eps, sigma)
             vals = _chndtrix_quantile(eps, sigma,
                                       np.concatenate(([0.0], QUANTILE_KNOTS)))
-            ref = PchipInterpolator(np.log(QUANTILE_KNOTS), np.log(vals[1:]),
-                                    extrapolate=True)
+            slopes = channel._log_quantile_slopes(QUANTILE_KNOTS, vals[1:],
+                                                  sigma)
+            ref = CubicHermiteSpline(np.log(QUANTILE_KNOTS), np.log(vals[1:]),
+                                     slopes, extrapolate=True)
 
             def expected(g1):   # the table's __call__ on scipy's interpolant
                 g1 = np.asarray(g1, dtype=float)
@@ -332,13 +335,13 @@ class TestHermiteTable:
 
     @pytest.mark.parametrize("eps,sigma", [(1e-3, 0.8), (1e-5, 0.5),
                                            (1e-9, 0.8)])
-    def test_coefficients_equal_pchip(self, tables, eps, sigma):
+    def test_coefficients_equal_scipy(self, tables, eps, sigma):
         q, ref, _ = tables(eps, sigma)
         assert np.array_equal(q._coef, ref.c)
 
     @pytest.mark.parametrize("eps,sigma", [(1e-3, 0.8), (1e-5, 0.5),
                                            (1e-9, 0.8)])
-    def test_values_equal_pchip(self, tables, eps, sigma):
+    def test_values_equal_scipy(self, tables, eps, sigma):
         q, _, expected = tables(eps, sigma)
         lo, hi = QUANTILE_KNOTS[:-1], QUANTILE_KNOTS[1:]
         inside = np.concatenate([lo * (hi / lo) ** f
@@ -354,6 +357,32 @@ class TestHermiteTable:
         np.testing.assert_array_equal(q(with_nan), expected(with_nan))
         assert np.isnan(q(with_nan)[1])
         assert float(q(2.0)) == float(expected(2.0))
+
+    @pytest.mark.parametrize("eps,sigma", [(1e-3, 0.8), (1e-5, 0.5),
+                                           (0.1, 0.3), (1e-3, 0.02)])
+    def test_slopes_are_the_quantile_derivative(self, eps, sigma):
+        # central differences of ln chndtrix in ln g1, h = 1e-4, at the
+        # knots; measured at most 1.2e-8 relative (8.8e-8 absolute) where
+        # the slope is above 1e-3.  The absolute floor covers the first
+        # knots, where the slope is ~1e-9 and the difference is rounding
+        # noise
+        x = _chndtrix_quantile(eps, sigma, QUANTILE_KNOTS)
+        h = 1e-4
+        up, down = (_chndtrix_quantile(eps, sigma, QUANTILE_KNOTS * np.exp(t))
+                    for t in (h, -h))
+        central = (np.log(up) - np.log(down)) / (2 * h)
+        np.testing.assert_allclose(
+            channel._log_quantile_slopes(QUANTILE_KNOTS, x, sigma), central,
+            rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("sigma", [0.02, 0.3, 0.8])
+    @pytest.mark.parametrize("eps", [1e-5, 1e-3, 0.1])
+    def test_table_is_monotone(self, qcache, eps, sigma):
+        # exact knot slopes, unlike PCHIP's, do not force a monotone cubic;
+        # the built tables are nondecreasing on a dense grid all the same
+        g1 = np.concatenate(([0.0], np.geomspace(QUANTILE_KNOTS[0], G_MAX,
+                                                 32769)))
+        assert (np.diff(qcache.get(eps, sigma)(g1)) >= 0).all()
 
 
 class TestSamplers:
