@@ -26,7 +26,7 @@ Reproducibility: every row carries the code version, and every Monte
 Carlo row its own seed, spawned from the master seed's SeedSequence on
 the row's coordinate string, so a row's bytes do not depend on grid
 composition.  Only fig4 and mc-verify draw samples, so only they take
---seed and --trials.
+--seed, which is required, and a `trials` config key.
 Exit codes: 0 all rows ok, 1 usage/config error, 2 some rows failed,
 were infeasible or hit an optimizer failure (annotated in the `error`
 column).
@@ -156,7 +156,7 @@ def _default_config(name: str) -> str:
     return path.read_text()
 
 
-def _load_config(name: str, path: str | None, overrides: dict) -> dict:
+def _load_config(name: str, path: str | None) -> dict:
     # parsed per call, so no caller shares the lists of another
     cfg = json.loads(_default_config(name))
     if path:
@@ -164,22 +164,21 @@ def _load_config(name: str, path: str | None, overrides: dict) -> dict:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ValueError(f"config {path} must be a flat JSON object")
-        # main reads and checks the master seed of a Monte Carlo subcommand
-        known = [*cfg, "seed"] if name in MC_COMMANDS else list(cfg)
         for key, value in loaded.items():
-            if key not in known:
+            if key not in cfg:
                 raise ValueError(f"unknown config key {key!r} for {name} "
-                                 f"(takes {', '.join(known)})")
-            cfg[key] = _checked(key, value, cfg[key]) if key in cfg else value
-    cfg.update({k: v for k, v in overrides.items() if v is not None})
-    # checked before any point runs (and builds its table): the names, and
-    # mc-verify's open-loop rates, which must be > 0, since at rate 0 every
-    # round one decodes and no open-loop check can measure anything, and
-    # must have a finite threshold
-    for name in cfg.get("protocols", ()):
-        Protocol(name)
-    for name in cfg.get("methods", ()):
-        _quantile_method(name)
+                                 f"(takes {', '.join(cfg)})")
+            cfg[key] = _checked(key, value, cfg[key])
+    # checked before any point runs (and builds its table): the names,
+    # mc-verify's round-one power, and its open-loop rates, which must be
+    # > 0, since at rate 0 every round one decodes and no open-loop check
+    # can measure anything, and must have a finite threshold
+    for protocol in cfg.get("protocols", ()):
+        Protocol(protocol)
+    for method in cfg.get("methods", ()):
+        _quantile_method(method)
+    if "p1" in cfg and not cfg["p1"] > 0:
+        raise ValueError(f"p1 must be > 0, got {float(cfg['p1'])}")
     for rate in cfg.get("open_loop_rate", ()):
         if not rate > 0:
             raise ValueError(f"rate must be > 0, got {rate}")
@@ -378,14 +377,14 @@ def _closed_loop_rows(config, master_seed, protocol_name, eps, sigma):
     rate, p1 = float(config["rate"]), float(config["p1"])
     trials = int(config["trials"])
     protocol = Protocol(protocol_name)
-    cfg = HarqConfig(protocol=protocol, rate=rate, eps=eps, p1=p1)
+    cfg = HarqConfig(protocol=protocol, rate=rate, eps=eps)
     coords = dict(figure="mc-verify", eps=eps, rate=rate, sigma=sigma,
                   protocol=protocol.value, n_trials=trials,
                   seed=_row_seed(master_seed, "cl", protocol.value, eps, sigma))
     rows = []
     with _error_row(rows, coords, check="closed_loop"):
         quantile = GainQuantile(eps, sigma, QuantileMethod.EXACT)
-        rep = run_closed_loop(cfg, sigma, QuantileMethod.EXACT,
+        rep = run_closed_loop(p1, cfg, sigma, QuantileMethod.EXACT,
                               n_trials=trials, seed=coords["seed"],
                               quantile=quantile)
         if rep.n_round2 == 0:
@@ -403,7 +402,7 @@ def _closed_loop_rows(config, master_seed, protocol_name, eps, sigma):
         # the closed-form average integrates the analysis-side rule
         coords["seed"] = _row_seed(master_seed, "cf", protocol.value, eps,
                                    sigma)
-        rep = run_closed_loop(cfg, sigma, QuantileMethod.ASYMPTOTIC,
+        rep = run_closed_loop(p1, cfg, sigma, QuantileMethod.ASYMPTOTIC,
                               n_trials=trials, seed=coords["seed"],
                               jensen_fallback=False)
         rows.append(_z_row(
@@ -481,13 +480,10 @@ _EVAL_OPS = (
     "open-loop-outage-exact", "open-loop-avg-power",
     "open-loop-required-power", "no-retx-required-power", "no-retx-outage",
 )
-# config fields an op sets itself: the protocol of a protocol's own rule,
-# and no p1 where p1 is what the op computes
+# config fields an op sets itself: the protocol of a protocol's own rule
 _EVAL_FIXED = {
     "p2-rtd": {"protocol": Protocol.RTD},
     "p2-inr": {"protocol": Protocol.INR},
-    "optimal-p1-closed-form": {"p1": None},
-    "optimal-p1-numeric": {"p1": None},
 }
 # the only defaulted function parameters an op takes; the others (the
 # Jensen fallback, a prebuilt table) stay at their defaults
@@ -529,6 +525,8 @@ def run_eval(op_name: str, assignments: list[str]):
         if key not in takes:
             raise _usage(f"unknown parameter {key!r} for {op_name} "
                          f"(takes {list(takes)})")
+        if key in values:
+            raise _usage(f"{key} given twice")
         kind = _EVAL_TYPES.get(takes[key].annotation, float)
         try:
             values[key] = kind(raw)
@@ -580,7 +578,7 @@ def _run(grid, config: dict, master_seed, workers: int):
 
 
 # every subcommand but eval: the flags it adds to --config, --out and
-# --workers ("seed" for --seed and --trials), and its grid: point
+# --workers ("seed" for --seed), and its grid: point
 # functions, each called as fn(config, master seed, *coords) over the
 # product of its axes (config lists, or constants), outermost first
 _COMMANDS = {
@@ -623,8 +621,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if flags == "seed":
             command.add_argument("--seed", type=int,
                                  help="master seed for Monte Carlo columns")
-            command.add_argument("--trials", type=int,
-                                 help="Monte Carlo trials per point")
     eval_parser = sub.add_parser("eval")
     eval_parser.add_argument("op")
     eval_parser.add_argument("assignments", nargs="*",
@@ -649,16 +645,11 @@ def main(argv=None) -> int:
             flags, grid = _COMMANDS[args.command]
             if args.workers < 1:
                 parser.error(f"--workers must be >= 1, got {args.workers}")
-            config = _load_config(args.command, args.config,
-                                  {"trials": getattr(args, "trials", None)})
-            seed = None
+            config = _load_config(args.command, args.config)
+            seed = getattr(args, "seed", None)
             if flags == "seed":
-                seed = args.seed if args.seed is not None else config.get("seed")
                 if seed is None:
                     parser.error(f"--seed is required for {args.command}")
-                if isinstance(seed, bool) or not isinstance(seed, int):
-                    parser.error(f"the master seed must be an integer, "
-                                 f"got {json.dumps(seed)}")
                 if seed < 0:
                     parser.error(f"the master seed must be >= 0, got {seed}")
                 trials = config["trials"]

@@ -57,16 +57,16 @@ def _threshold(rate: float, rounds: float) -> float:
 
 @dataclass(frozen=True)
 class HarqConfig:
-    """Protocol selector, initial rate [npcu], outage target, round-1 power.
+    """Protocol selector, initial rate [npcu] and outage target of a link.
 
-    Powers are linear SNR (noise normalized to one).  p1 may stay None while
-    it is the quantity being optimized.
+    Powers are linear SNR (noise normalized to one).  The round-one power
+    p1 is what gets optimized, so each function that needs it takes it as
+    an argument.
     """
 
     protocol: Protocol
     rate: float
     eps: float
-    p1: float | None = None
 
     def __post_init__(self):
         if not self.rate > 0:
@@ -74,8 +74,6 @@ class HarqConfig:
         theta(self.rate)    # ValueError where e^rate - 1 overflows
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must be in (0, 1), got {self.eps}")
-        if self.p1 is not None and not self.p1 > 0:
-            raise ValueError(f"p1 must be > 0, got {self.p1}")
 
     @property
     def theta(self) -> float:
@@ -110,28 +108,30 @@ def _round_two_numerator(protocol: Protocol, cfg: HarqConfig, jensen: bool,
             else jensen), fallback
 
 
-def _p2(protocol, jensen, g1, cfg, sigma, method, jensen_fallback=True):
+def _p2(protocol, jensen, g1, p1, cfg, sigma, method, jensen_fallback=True):
     # pointwise: EXACT divides by the Brent inverse, not a table
     if not g1 >= 0:
         raise ValueError(f"g1 must be >= 0, got {g1}")
-    num, _ = _round_two_numerator(protocol, cfg, jensen, g1, _require_p1(cfg),
+    if not p1 > 0:
+        raise ValueError(f"p1 must be > 0, got {p1}")
+    num, _ = _round_two_numerator(protocol, cfg, jensen, g1, p1,
                                   jensen_fallback)
     if not num > 0.0:
         return 0.0
     return float(num / inv_cond_cdf_g2(cfg.eps, g1, sigma, method))
 
 
-def p2_rtd(g1: float, cfg: HarqConfig, sigma: float,
+def p2_rtd(g1: float, p1: float, cfg: HarqConfig, sigma: float,
            method: QuantileMethod = QuantileMethod.EXACT) -> float:
     """Round-two power for RTD: (theta - g1 p1) / quantile, 0 once decoded.
 
     With the ASYMPTOTIC quantile this is the closed-form rule
     (theta - g1 p1) exp(-g1 (1-sigma^2)/sigma^2) / (-sigma^2 log(1-eps)).
     """
-    return _p2(Protocol.RTD, False, g1, cfg, sigma, method)
+    return _p2(Protocol.RTD, False, g1, p1, cfg, sigma, method)
 
 
-def p2_inr(g1: float, cfg: HarqConfig, sigma: float,
+def p2_inr(g1: float, p1: float, cfg: HarqConfig, sigma: float,
            method: QuantileMethod = QuantileMethod.EXACT,
            jensen_fallback: bool = True) -> float:
     """Round-two power for INR: (theta - g1 p1)/(1 + g1 p1) / quantile, 0
@@ -142,7 +142,7 @@ def p2_inr(g1: float, cfg: HarqConfig, sigma: float,
     numerator is substituted if `jensen_fallback` is set, and zero is kept
     otherwise.
     """
-    return _p2(Protocol.INR, method is QuantileMethod.ASYMPTOTIC, g1, cfg,
+    return _p2(Protocol.INR, method is QuantileMethod.ASYMPTOTIC, g1, p1, cfg,
                sigma, method, jensen_fallback)
 
 
@@ -150,9 +150,8 @@ class P2Rule:
     """Vectorized round-two power rule for a fixed (config, sigma, method).
 
     Wraps a shared GainQuantile so Monte Carlo batches and quadrature reuse
-    one table.  `jensen_fallback` mirrors p2_inr.  The round-one power is
-    cfg.p1 unless a call passes its own, so one rule serves every power
-    of an optimization.
+    one table.  `jensen_fallback` mirrors p2_inr.  Each call passes the
+    round-one power p1, so one rule serves every power of an optimization.
     `jensen` is True exactly when the numerator is INR's Jensen numerator,
     that is for INR with the ASYMPTOTIC quantile; the slope, the
     quadrature's kink edge and the simulator's fallback count read it.
@@ -179,16 +178,15 @@ class P2Rule:
         return _round_two_numerator(self.cfg.protocol, self.cfg, self.jensen,
                                     g1, p1, self.jensen_fallback)
 
-    def jensen_fallback_mask(self, g1) -> np.ndarray:
+    def jensen_fallback_mask(self, g1, p1) -> np.ndarray:
         """Failed-round-one points where the Jensen numerator is nonpositive."""
-        g1, p1 = np.asarray(g1, dtype=float), _require_p1(self.cfg)
+        g1 = np.asarray(g1, dtype=float)
         if not self.jensen:
             return np.zeros(g1.shape, dtype=bool)
         return self._numerator(g1, p1)[1]
 
-    def __call__(self, g1, p1=None) -> np.ndarray:
-        g1 = np.asarray(g1, dtype=float)
-        p1 = _require_p1(self.cfg) if p1 is None else np.asarray(p1, float)
+    def __call__(self, g1, p1) -> np.ndarray:
+        g1, p1 = np.asarray(g1, dtype=float), np.asarray(p1, dtype=float)
         num, _ = self._numerator(g1, p1)
         with np.errstate(invalid="ignore"):
             p2 = np.where(num > 0.0, num / self.quantile(g1), 0.0)
@@ -206,9 +204,3 @@ class P2Rule:
             d = np.where(exact, d * (1.0 + cfg.theta) / (1.0 + g1 * p1)**2, d)
         with np.errstate(invalid="ignore"):
             return np.where(num > 0.0, d / self.quantile(g1), 0.0)
-
-
-def _require_p1(cfg: HarqConfig) -> float:
-    if cfg.p1 is None:
-        raise ValueError("HarqConfig.p1 must be set for power-rule evaluation")
-    return cfg.p1

@@ -45,8 +45,7 @@ from scipy.special import ndtri
 
 from .channel import (GainQuantile, QuantileMethod, _add_g2_quadrature,
                       _check_sigma, _g2_in_phase, sample_g1)
-from .harq import (HarqConfig, P2Rule, PaharqError, Protocol, _require_p1,
-                   theta)
+from .harq import HarqConfig, P2Rule, PaharqError, Protocol, theta
 
 BATCH_SIZE = 1 << 16
 # run_open_loop's conditional estimate needs this many round-two trials
@@ -213,12 +212,12 @@ def _finalize(n_trials, n_round2, n_outage, power_sums, power_sqsums,
     )
 
 
-def run_closed_loop(cfg: HarqConfig, sigma: float,
+def run_closed_loop(p1: float, cfg: HarqConfig, sigma: float,
                     method: QuantileMethod = QuantileMethod.EXACT,
                     n_trials: int = 100_000, seed: int = 0,
                     jensen_fallback: bool = True,
                     quantile: GainQuantile | None = None) -> MCReport:
-    """Simulate the feedback scheme: blind round one at cfg.p1, then a
+    """Simulate the feedback scheme: blind round one at p1, then a
     g1-adapted round two using the selected quantile method.
 
     Round one decodes when rate <= log(1 + g1 p1).  On failure the rule's
@@ -226,7 +225,6 @@ def run_closed_loop(cfg: HarqConfig, sigma: float,
     (g1 p1 + g2 P2 >= theta) or INR accumulation
     (log(1+g1 p1) + log(1+g2 P2) >= rate).
     """
-    p1 = _require_p1(cfg)
     batches = _round_one(n_trials, seed, p1, cfg.rate)
     rule = P2Rule(cfg, sigma, method, jensen_fallback=jensen_fallback,
                   quantile=quantile)
@@ -240,9 +238,9 @@ def run_closed_loop(cfg: HarqConfig, sigma: float,
         # and of the report, is unchanged
         g1.sort()
         n = g1.size
-        p2 = rule(g1)
+        p2 = rule(g1, p1)
         if rule.jensen:
-            fallback += np.count_nonzero(rule.jensen_fallback_mask(g1))
+            fallback += np.count_nonzero(rule.jensen_fallback_mask(g1, p1))
         n_round2 += n
         n_outage += _round_two(rng, g1, sigma, p1, p2, cfg.protocol, cfg.rate)
         # every trial spends p1, a failed one p2 on top

@@ -234,9 +234,9 @@ class TestRetransmissionOutageTarget:
     @pytest.mark.parametrize("sigma", [0.5, 0.8, 1.0])
     def test_conditional_outage_equals_target(self, qcache, protocol, eps, sigma):
         q = qcache.get(eps, sigma)
-        cfg = HarqConfig(protocol, rate=1.0, eps=eps, p1=1.0)
+        cfg = HarqConfig(protocol, rate=1.0, eps=eps)
         seed = 20260808 + int(1000 * sigma) + int(-math.log10(eps))
-        rep = run_closed_loop(cfg, sigma, QuantileMethod.EXACT,
+        rep = run_closed_loop(1.0, cfg, sigma, QuantileMethod.EXACT,
                               n_trials=10**6, seed=seed, quantile=q)
         se = math.sqrt(eps * (1 - eps) / rep.n_round2)
         z = abs(rep.cond_round2_outage - eps) / se
@@ -249,8 +249,8 @@ class TestRetransmissionOutageTarget:
         """Simulated average power vs the quadrature objective, 3 SE, 1e6."""
         q = qcache.get(1e-3, 0.8)
         for protocol in (Protocol.RTD, Protocol.INR):
-            cfg = HarqConfig(protocol, rate=1.0, eps=1e-3, p1=1.0)
-            rep = run_closed_loop(cfg, 0.8, QuantileMethod.EXACT,
+            cfg = HarqConfig(protocol, rate=1.0, eps=1e-3)
+            rep = run_closed_loop(1.0, cfg, 0.8, QuantileMethod.EXACT,
                                   n_trials=10**6, seed=4242, quantile=q)
             ref = avg_power_given_p1(1.0, cfg, 0.8, QuantileMethod.EXACT,
                                      quantile=q)
@@ -262,8 +262,8 @@ class TestRetransmissionOutageTarget:
     def test_closed_form_average_matches_its_simulation(self):
         """Closed-form average vs simulating the analysis-side rule, 3 SE."""
         for protocol in (Protocol.RTD, Protocol.INR):
-            cfg = HarqConfig(protocol, rate=1.0, eps=1e-3, p1=1.0)
-            rep = run_closed_loop(cfg, 0.8, QuantileMethod.ASYMPTOTIC,
+            cfg = HarqConfig(protocol, rate=1.0, eps=1e-3)
+            rep = run_closed_loop(1.0, cfg, 0.8, QuantileMethod.ASYMPTOTIC,
                                   n_trials=10**6, seed=777,
                                   jensen_fallback=False)
             ref = closed_form_avg_power(1.0, cfg, 0.8)

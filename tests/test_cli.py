@@ -201,9 +201,9 @@ def test_mc_verify_without_round_two_becomes_error_row(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({
         "eps": [0.01], "sigma": [1.0], "p1": 1e6,
-        "open_loop_power_db": [10.0], "open_loop_rate": [0.5]}))
+        "open_loop_power_db": [10.0], "open_loop_rate": [0.5], "trials": 10}))
     assert main(["mc-verify", "--config", str(config), "--seed", "1",
-                 "--trials", "10", "--out", str(out)]) == 2
+                 "--out", str(out)]) == 2
     rows = read_csv(out)
     closed = [r for r in rows if r["check"] == "closed_loop"]
     assert [r["protocol"] for r in closed] == ["rtd", "inr"]
@@ -265,16 +265,15 @@ def test_bad_config_exits_one(tmp_path):
     ["fig3", "--method", "mc"],              # methods key
     ["fig3", "--method", "closed"],
     ["fig5", "--method", "exact"],
-    ["fig3", "--seed", "1"],                 # --seed/--trials: fig4 and
-    ["fig5", "--trials", "1000"],            # mc-verify only
-    ["headline", "--seed", "1"],
-    ["headline", "--trials", "1000"],
+    ["fig3", "--seed", "1"],                 # --seed: fig4 and mc-verify
+    ["headline", "--seed", "1"],             # only
     ["fig4", "--seed", "-1"],                # master seeds are >= 0
-    ["fig4", "--seed", "1", "--trials", "0"],    # trials are >= 1
-    ["fig4", "--seed", "1", "--trials", "-5"],
-    ["mc-verify", "--seed", "1", "--trials", "0"],
-    ["fig4", "--seed", "1", "--trials", "10", "--workers", "0"],
-    ["fig4", "--seed", "1", "--trials", "10", "--workers", "-2"],
+    ["fig4", "--seed", "1.5"],               # and integers
+    ["fig4", "--seed", "1", "--trials", "5"],    # trials come only from
+    ["mc-verify", "--seed", "1", "--trials", "1000"],   # the config
+    ["fig5", "--trials", "1000"],
+    ["fig4", "--seed", "1", "--workers", "0"],
+    ["fig4", "--seed", "1", "--workers", "-2"],
 ])
 def test_usage_errors_exit_one(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -283,13 +282,15 @@ def test_usage_errors_exit_one(argv, capsys):
     assert capsys.readouterr().err.count("error:") == 1
 
 
-def test_config_trials_below_one_exit_one(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["fig4", "mc-verify"])
+@pytest.mark.parametrize("trials", [0, -5])
+def test_config_trials_below_one_exit_one(tmp_path, capsys, command, trials):
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"trials": 0}))
+    config.write_text(json.dumps({"trials": trials}))
     with pytest.raises(SystemExit) as exc:
-        main(["mc-verify", "--seed", "1", "--config", str(config)])
+        main([command, "--seed", "1", "--config", str(config)])
     assert exc.value.code == 1
-    assert "trials must be >= 1, got 0" in capsys.readouterr().err
+    assert f"trials must be >= 1, got {trials}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["fig4", "mc-verify"])
@@ -480,8 +481,8 @@ def test_row_seeds_do_not_swap_between_master_seeds():
 
 
 def test_row_seeds_distinct_over_default_coordinates():
-    fig4 = cli._load_config("fig4", None, {})
-    verify = cli._load_config("mc-verify", None, {})
+    fig4 = cli._load_config("fig4", None)
+    verify = cli._load_config("mc-verify", None)
     coords = [("fig4", eps, rate, proto) for eps in fig4["eps"]
               for rate in fig4["rate"] for proto in fig4["protocols"]]
     coords += [(kind, proto, eps, sigma) for kind in ("cl", "cf")
@@ -505,8 +506,8 @@ def test_row_seed_pinned_value():
 
 # op, assignments, direct library call; defaults stay implicit where cheap
 # (method=exact, protocol=rtd, branch=0)
-_RTD_CFG = paharq.HarqConfig(paharq.Protocol.RTD, 2.0, 1e-2, 3.0)
-_INR_CFG = paharq.HarqConfig(paharq.Protocol.INR, 2.0, 1e-2, 3.0)
+_RTD_CFG = paharq.HarqConfig(paharq.Protocol.RTD, 2.0, 1e-2)
+_INR_CFG = paharq.HarqConfig(paharq.Protocol.INR, 2.0, 1e-2)
 _EVAL_CASES = [
     ("theta", ["rate=2"], lambda: paharq.theta(2.0)),
     ("theta1", ["rate=2"], lambda: paharq.theta1(2.0)),
@@ -524,10 +525,10 @@ _EVAL_CASES = [
     ("inv-cond-cdf-g2", ["eps=1e-2", "g1=1", "sigma=0.8"],
      lambda: paharq.inv_cond_cdf_g2(1e-2, 1.0, 0.8)),
     ("p2-rtd", ["g1=0.5", "rate=2", "eps=1e-2", "p1=3", "sigma=0.8"],
-     lambda: paharq.p2_rtd(0.5, _RTD_CFG, 0.8)),
+     lambda: paharq.p2_rtd(0.5, 3.0, _RTD_CFG, 0.8)),
     ("p2-inr", ["g1=0.5", "rate=2", "eps=1e-2", "p1=3", "sigma=0.8",
                 "method=asymptotic"],
-     lambda: paharq.p2_inr(0.5, _INR_CFG, 0.8,
+     lambda: paharq.p2_inr(0.5, 3.0, _INR_CFG, 0.8,
                            paharq.QuantileMethod.ASYMPTOTIC)),
     ("avg-power-given-p1", ["p1=30", "protocol=inr", "rate=2", "eps=1e-2",
                             "sigma=0.8", "method=weibull"],
@@ -750,10 +751,10 @@ def test_fig4_sigma_below_floor_is_error_row(tmp_path):
 def test_mc_verify_open_loop_sigma_below_floor_keeps_closed_loop(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"open_loop_sigma": 1e-300, "eps": [0.1],
-                                  "sigma": [1.0]}))
+                                  "sigma": [1.0], "trials": 1000}))
     out = tmp_path / "mc.csv"
-    assert main(["mc-verify", "--seed", "1", "--trials", "1000", "--config",
-                 str(config), "--out", str(out)]) == 2
+    assert main(["mc-verify", "--seed", "1", "--config", str(config),
+                 "--out", str(out)]) == 2
     rows = read_csv(out)
     closed_loop = [r for r in rows if r["sigma"] == "1"]
     open_loop = [r for r in rows if r["sigma"] == "1e-300"]
@@ -767,7 +768,7 @@ def test_every_subcommand_has_a_packaged_config(command):
     path = (Path(cli.__file__).with_name("configs")
             / f"{command.replace('-', '_')}.json")
     packaged = json.loads(path.read_text())
-    assert packaged and cli._load_config(command, None, {}) == packaged
+    assert packaged and cli._load_config(command, None) == packaged
 
 
 def test_fig4_error_row_bytes(tmp_path):
@@ -890,16 +891,6 @@ def test_config_value_of_wrong_kind_exits_one(tmp_path, capsys, command,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_config_seed_must_be_an_integer(tmp_path, capsys):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"seed": [1]}))
-    with pytest.raises(SystemExit) as exc:
-        main(["fig4", "--config", str(path)])
-    assert exc.value.code == 1
-    assert "the master seed must be an integer, got [1]" in \
-        capsys.readouterr().err
-
-
 # one-point grids, so that a config error that goes unnoticed costs little
 _SMALL_CONFIGS = {
     "fig3": {"eps": [0.1], "rate": [0.5], "methods": ["closed-form"]},
@@ -922,7 +913,8 @@ def _run_config(tmp_path, command, config):
 
 @pytest.mark.parametrize("command,key", [
     *((command, "epss") for command in _SMALL_CONFIGS),
-    ("fig3", "seed"),       # only the Monte Carlo subcommands take a seed
+    # the master seed is the --seed flag's alone
+    *((command, "seed") for command in _SMALL_CONFIGS),
 ])
 def test_unknown_config_key_exits_one(tmp_path, capsys, command, key):
     config = dict(_SMALL_CONFIGS[command], **{key: [0.1]})
@@ -932,20 +924,6 @@ def test_unknown_config_key_exits_one(tmp_path, capsys, command, key):
                           "(takes ")
     assert err.count("\n") == 1
     assert not (tmp_path / "o.csv").exists()
-
-
-@pytest.mark.parametrize("command", list(cli.MC_COMMANDS))
-def test_config_seed_key_is_the_master_seed(tmp_path, command):
-    outputs = []
-    for seed_key in ({"seed": 7}, {}):
-        config = dict(_SMALL_CONFIGS[command], **seed_key)
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(config))
-        out = tmp_path / f"{len(outputs)}.csv"
-        argv = [command, "--config", str(path), "--out", str(out)]
-        assert main(argv + ([] if seed_key else ["--seed", "7"])) == 0
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("command,key", [
@@ -975,18 +953,29 @@ def test_unknown_name_exits_one(tmp_path, capsys, no_table, command, names,
     assert not (tmp_path / "o.csv").exists()
 
 
-@pytest.mark.parametrize("rate,message", [
-    (0.0, "rate must be > 0, got 0.0"),
-    (800.0, "rate 800.0 is too large: its SNR threshold overflows"),
-])
-def test_open_loop_rate_exits_one_before_any_table(tmp_path, capsys, no_table,
-                                                  rate, message):
+@pytest.mark.parametrize("bad,message", [
+    ({"open_loop_rate": [0.0]}, "rate must be > 0, got 0.0"),
+    ({"open_loop_rate": [800.0]},
+     "rate 800.0 is too large: its SNR threshold overflows"),
+    ({"p1": -1}, "p1 must be > 0, got -1.0"),
+    ({"p1": 0}, "p1 must be > 0, got 0.0"),
+    ({"p1": math.nan}, "p1 must be > 0, got nan"),
+], ids=["rate-0", "rate-800", "p1--1", "p1-0", "p1-nan"])
+def test_mc_verify_value_exits_one_before_any_table(tmp_path, capsys,
+                                                    no_table, bad, message):
     # the closed-loop checks, which build the tables, come first in the grid
-    config = {"eps": [0.001], "sigma": [0.8], "open_loop_rate": [rate],
-              "trials": 1000}
+    config = dict({"eps": [0.001], "sigma": [0.8], "trials": 1000}, **bad)
     assert _run_config(tmp_path, "mc-verify", config) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "o.csv").exists()
+
+
+def test_eval_repeated_parameter_exits_one(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "theta", "rate=2", "rate=3"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: rate given twice\n"
 
 
 def test_one_value_stands_for_a_one_element_grid(tmp_path):

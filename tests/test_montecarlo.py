@@ -31,7 +31,7 @@ from paharq.montecarlo import (
     run_open_loop_conditional,
 )
 
-CFG = HarqConfig(Protocol.RTD, rate=1.0, eps=1e-3, p1=1.0)
+CFG = HarqConfig(Protocol.RTD, rate=1.0, eps=1e-3)
 
 
 def _outage(g1, g2, p1, p2, protocol, rate):
@@ -97,7 +97,7 @@ def _plain_open_loop(kind, P, rate, sigma, protocol, n_trials, seed):
     return n_cond, n_out
 
 
-def _plain_closed_loop(cfg, sigma, method, n_trials, seed, quantile):
+def _plain_closed_loop(p1, cfg, sigma, method, n_trials, seed, quantile):
     """Report fields of run_closed_loop as plain array expressions."""
     rule = P2Rule(cfg, sigma, method, jensen_fallback=False,
                   quantile=quantile)
@@ -106,14 +106,14 @@ def _plain_closed_loop(cfg, sigma, method, n_trials, seed, quantile):
     for j, m in _batches(n_trials):
         rng = _batch_rng(seed, j)
         g1 = rng.exponential(size=m)
-        failed = g1 * cfg.p1 < cfg.theta
+        failed = g1 * p1 < cfg.theta
         g1f = np.sort(g1[failed])
-        p2 = rule(g1f)
-        fallback += int(rule.jensen_fallback_mask(g1f).sum())
+        p2 = rule(g1f, p1)
+        fallback += int(rule.jensen_fallback_mask(g1f, p1).sum())
         n_round2 += int(failed.sum())
-        n_out += int(_plain_round_two(rng, g1f, sigma, cfg.p1, p2,
+        n_out += int(_plain_round_two(rng, g1f, sigma, p1, p2,
                                       cfg.protocol, cfg.rate).sum())
-        spent += [np.full(m - g1f.size, cfg.p1), cfg.p1 + p2]
+        spent += [np.full(m - g1f.size, p1), p1 + p2]
     return n_round2, n_out, fallback, np.concatenate(spent).mean()
 
 
@@ -148,13 +148,13 @@ class TestBatchKernels:
         (Protocol.INR, QuantileMethod.ASYMPTOTIC),
     ])
     def test_closed_loop_report(self, qcache, protocol, method):
-        cfg = HarqConfig(protocol, 2.0, 1e-2, 2.0)
+        cfg = HarqConfig(protocol, 2.0, 1e-2)
         q = qcache.get(1e-2, 0.8, method)
         n = BATCH_SIZE + 1000
-        rep = run_closed_loop(cfg, 0.8, method, n_trials=n, seed=62,
+        rep = run_closed_loop(2.0, cfg, 0.8, method, n_trials=n, seed=62,
                               jensen_fallback=False, quantile=q)
         n_round2, n_out, fallback, mean = _plain_closed_loop(
-            cfg, 0.8, method, n, 62, q)
+            2.0, cfg, 0.8, method, n, 62, q)
         assert (rep.n_round2, rep.n_outage) == (n_round2, n_out)
         assert rep.jensen_fallback_count == fallback
         assert (fallback > 0) == (method is QuantileMethod.ASYMPTOTIC)
@@ -197,7 +197,7 @@ class TestBatchKernels:
 # takes its EXACT table from the caller
 _WORK_RUNS = {
     "closed-loop": lambda n, seed, q: run_closed_loop(
-        HarqConfig(Protocol.INR, 1.0, 1e-2, 1.0), 0.8, n_trials=n, seed=seed,
+        1.0, HarqConfig(Protocol.INR, 1.0, 1e-2), 0.8, n_trials=n, seed=seed,
         quantile=q),
     "open-loop": lambda n, seed, q: run_open_loop(
         10.0, 2.0, 0.8, Protocol.INR, n_trials=n, seed=seed),
@@ -290,28 +290,32 @@ class TestBatchStreams:
 class TestDeterminism:
     def test_identical_reports(self, qcache):
         q = qcache.get(1e-3, 0.8)
-        a = run_closed_loop(CFG, 0.8, n_trials=50_000, seed=99, quantile=q)
-        b = run_closed_loop(CFG, 0.8, n_trials=50_000, seed=99, quantile=q)
+        a = run_closed_loop(1.0, CFG, 0.8, n_trials=50_000, seed=99,
+                            quantile=q)
+        b = run_closed_loop(1.0, CFG, 0.8, n_trials=50_000, seed=99,
+                            quantile=q)
         assert a == b
 
     def test_seed_changes_results(self, qcache):
         q = qcache.get(1e-3, 0.8)
-        a = run_closed_loop(CFG, 0.8, n_trials=50_000, seed=1, quantile=q)
-        b = run_closed_loop(CFG, 0.8, n_trials=50_000, seed=2, quantile=q)
+        a = run_closed_loop(1.0, CFG, 0.8, n_trials=50_000, seed=1, quantile=q)
+        b = run_closed_loop(1.0, CFG, 0.8, n_trials=50_000, seed=2, quantile=q)
         assert a.avg_power != b.avg_power
 
     def test_trial_prefix_stability(self, qcache):
         # per-batch streams: early trials do not depend on n_trials,
         # so counts over a whole-batch prefix match a shorter run exactly
         q = qcache.get(1e-3, 0.8)
-        small = run_closed_loop(CFG, 0.8, n_trials=BATCH_SIZE, seed=5, quantile=q)
-        twice = run_closed_loop(CFG, 0.8, n_trials=2 * BATCH_SIZE, seed=5,
+        small = run_closed_loop(1.0, CFG, 0.8, n_trials=BATCH_SIZE, seed=5,
                                 quantile=q)
-        half = run_closed_loop(CFG, 0.8, n_trials=BATCH_SIZE, seed=5, quantile=q)
+        twice = run_closed_loop(1.0, CFG, 0.8, n_trials=2 * BATCH_SIZE, seed=5,
+                                quantile=q)
+        half = run_closed_loop(1.0, CFG, 0.8, n_trials=BATCH_SIZE, seed=5,
+                               quantile=q)
         assert small == half
         # second batch is an independent substream: totals are the sum of
         # per-batch contributions, so removing batch 1 recovers batch 0
-        only_second = run_closed_loop(CFG, 0.8, n_trials=2 * BATCH_SIZE,
+        only_second = run_closed_loop(1.0, CFG, 0.8, n_trials=2 * BATCH_SIZE,
                                       seed=5, quantile=q)
         assert only_second.n_round2 >= small.n_round2
 
@@ -324,50 +328,55 @@ class TestDeterminism:
 class TestClosedLoop:
     def test_conditional_outage_hits_target(self, qcache):
         q = qcache.get(1e-2, 0.8)
-        cfg = HarqConfig(Protocol.RTD, 1.0, 1e-2, 1.0)
-        rep = run_closed_loop(cfg, 0.8, n_trials=400_000, seed=42, quantile=q)
+        cfg = HarqConfig(Protocol.RTD, 1.0, 1e-2)
+        rep = run_closed_loop(1.0, cfg, 0.8, n_trials=400_000, seed=42,
+                              quantile=q)
         se = math.sqrt(1e-2 * (1 - 1e-2) / rep.n_round2)
         assert abs(rep.cond_round2_outage - 1e-2) < 3 * se
 
     def test_avg_power_matches_quadrature(self, qcache):
         q = qcache.get(1e-2, 0.8)
-        cfg = HarqConfig(Protocol.INR, 1.0, 1e-2, 1.0)
-        rep = run_closed_loop(cfg, 0.8, n_trials=400_000, seed=43, quantile=q)
+        cfg = HarqConfig(Protocol.INR, 1.0, 1e-2)
+        rep = run_closed_loop(1.0, cfg, 0.8, n_trials=400_000, seed=43,
+                              quantile=q)
         ref = avg_power_given_p1(1.0, cfg, 0.8, QuantileMethod.EXACT, quantile=q)
         assert abs(rep.avg_power - ref) < 3 * rep.avg_power_se
 
     def test_unconditional_outage_consistency(self, qcache):
         q = qcache.get(1e-2, 0.8)
-        cfg = HarqConfig(Protocol.RTD, 1.0, 1e-2, 1.0)
-        rep = run_closed_loop(cfg, 0.8, n_trials=200_000, seed=44, quantile=q)
+        cfg = HarqConfig(Protocol.RTD, 1.0, 1e-2)
+        rep = run_closed_loop(1.0, cfg, 0.8, n_trials=200_000, seed=44,
+                              quantile=q)
         # every outage passed through round two
         assert rep.n_outage <= rep.n_round2
         assert rep.outage_rate == pytest.approx(rep.n_outage / rep.n_trials)
         # unconditional outage ~ P(round-1 fail) * eps
-        p_fail = -math.expm1(-cfg.theta / cfg.p1)
+        p_fail = -math.expm1(-cfg.theta)
         assert rep.outage_rate == pytest.approx(p_fail * cfg.eps, rel=0.5)
 
     def test_jensen_fallback_counted(self):
-        cfg = HarqConfig(Protocol.INR, 2.0, 1e-2, 2.0)
-        rep = run_closed_loop(cfg, 0.8, QuantileMethod.ASYMPTOTIC,
+        cfg = HarqConfig(Protocol.INR, 2.0, 1e-2)
+        rep = run_closed_loop(2.0, cfg, 0.8, QuantileMethod.ASYMPTOTIC,
                               n_trials=100_000, seed=7, jensen_fallback=True)
         assert rep.jensen_fallback_count > 0
-        rep2 = run_closed_loop(cfg, 0.8, QuantileMethod.EXACT,
+        rep2 = run_closed_loop(2.0, cfg, 0.8, QuantileMethod.EXACT,
                                n_trials=50_000, seed=7)
         assert rep2.jensen_fallback_count == 0
 
-    def test_missing_p1_raises_before_any_draw(self, monkeypatch):
+    @pytest.mark.parametrize("p1", [0.0, -1.0, math.nan])
+    def test_nonpositive_p1_raises_before_any_draw(self, monkeypatch, p1):
         def draw(*args, **kwargs):
             raise AssertionError("drew a sample")
         monkeypatch.setattr(montecarlo, "sample_g1", draw)
-        cfg = HarqConfig(Protocol.RTD, rate=1.0, eps=1e-3)
-        with pytest.raises(ValueError, match="p1 must be set"):
-            run_closed_loop(cfg, 0.8, QuantileMethod.ASYMPTOTIC, n_trials=10)
+        with pytest.raises(ValueError, match=f"^P must be > 0, got {p1}$"):
+            run_closed_loop(p1, CFG, 0.8, QuantileMethod.ASYMPTOTIC,
+                            n_trials=10)
 
     def test_spent_power_at_least_p1(self, qcache):
         q = qcache.get(1e-3, 0.8)
-        rep = run_closed_loop(CFG, 0.8, n_trials=50_000, seed=8, quantile=q)
-        assert rep.avg_power >= CFG.p1
+        rep = run_closed_loop(1.0, CFG, 0.8, n_trials=50_000, seed=8,
+                              quantile=q)
+        assert rep.avg_power >= 1.0
 
 
 class TestOpenLoop:
@@ -440,7 +449,7 @@ def test_power_must_be_positive(run, P):
 
 
 @pytest.mark.parametrize("run", [
-    lambda n: run_closed_loop(CFG, 0.8, QuantileMethod.ASYMPTOTIC,
+    lambda n: run_closed_loop(1.0, CFG, 0.8, QuantileMethod.ASYMPTOTIC,
                               n_trials=n),
     lambda n: run_open_loop(10.0, 1.0, 0.8, Protocol.RTD, n_trials=n),
     lambda n: run_open_loop_conditional(10.0, 1.0, 0.8, Protocol.RTD,
