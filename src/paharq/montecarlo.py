@@ -13,8 +13,9 @@ its caller passes x), then a y only for the trials that x leaves in
 outage, overwrites its inputs in place and counts with count_nonzero.
 These two fix the draw order g1, screen, x, y, hence every report's
 bits; x and y are sized by the batch's trials, so in a short last batch
-they depend on n_trials.  The closed loop sorts its round-two g1 before
-the rule's table lookups.  Power totals are reduced with math.fsum
+they depend on n_trials.  The closed loop sorts its round-two g1, which
+fixes the pairing of g1 and normals, then evaluates its power rule on
+slices of _RULE_SLICE gains.  Power totals are reduced with math.fsum
 (exactly rounded, hence order-independent).
 
 The conditional sampler (fig4's) thins instead: a trial whose round one
@@ -26,14 +27,16 @@ that window, then K uniforms that give their x by inversion inside it,
 K uniforms for their g1, and the y of round two: it simulates only
 those K trials, and its outage count keeps the law of simulating all m.
 
-The round-one screen, the round-two step and the conditional sampler's
-x and g1 draws write their batch-sized temporaries into work arrays of
-BATCH_SIZE elements, created once per thread and handed out as [:n]
-views: fresh 512 KiB arrays per batch cost every 1e5-trial run hundreds
-of minor page faults, as the allocator mapped each one, or trimmed the
-heap after use, page by page.  The work arrays take the same values
-through the same operations, so no result moves, and they are
-thread-local, so simulators still run in several threads at once.
+The round-one screen, the round-two step, the closed loop's round-two
+g1 and powers and the conditional sampler's x and g1 draws write their
+batch-sized temporaries into work arrays of BATCH_SIZE elements, created
+once per thread and handed out as [:n] views: fresh 512 KiB arrays per
+batch cost every 1e5-trial run hundreds of minor page faults, as the
+allocator mapped each one, or trimmed the heap after use, page by page.
+The power rule's own temporaries, on slices of the batch, stay 32 KiB
+each.  The work arrays take the same values through the same
+elementwise operations, so no result moves, and they are thread-local,
+so simulators still run in several threads at once.
 """
 
 import math
@@ -48,6 +51,9 @@ from .channel import (GainQuantile, QuantileMethod, _add_g2_quadrature,
 from .harq import HarqConfig, P2Rule, PaharqError, Protocol, theta
 
 BATCH_SIZE = 1 << 16
+# the closed loop's power rule runs on slices of this many gains, so its
+# temporaries stay a few pages each
+_RULE_SLICE = 1 << 12
 # run_open_loop's conditional estimate needs this many round-two trials
 _MIN_CONDITIONED = 100
 # relative widening of the conditional sampler's window on x, far above the
@@ -57,16 +63,18 @@ _WINDOW_MARGIN = 1e-9
 
 class _WorkArrays:
     """One thread's work arrays, each of BATCH_SIZE elements.  `g1` holds
-    the conditional sampler's g1; `g2` the round-two step's x (the
-    conditional sampler's uniforms before that), later its y and last its
-    second outage sums; `total` the round-one screen's g1 p1,
-    then sqrt(g1) and the first outage sums; `g2_open`, `p2_open` and
-    `g1_open` the g2, p2 and round-one term of the trials still open at
-    y = 0; and `mask` each screen's mask."""
+    the conditional sampler's g1, or the closed loop's sorted round-one
+    failures; `p2` the closed loop's round-two powers, then the total
+    power of each of those trials and its square; `g2` the round-two
+    step's x (the conditional sampler's uniforms before that), later its
+    y and last its second outage sums; `total` the round-one screen's
+    g1 p1, then sqrt(g1) and the first outage sums; `g2_open`, `p2_open`
+    and `g1_open` the g2, p2 and round-one term of the trials still open
+    at y = 0; and `mask` each screen's mask."""
 
     def __init__(self):
-        (self.g1, self.g2, self.total, self.g2_open, self.p2_open,
-         self.g1_open) = (np.empty(BATCH_SIZE) for _ in range(6))
+        (self.g1, self.g2, self.total, self.p2, self.g2_open, self.p2_open,
+         self.g1_open) = (np.empty(BATCH_SIZE) for _ in range(7))
         self.mask = np.empty(BATCH_SIZE, dtype=bool)
 
 
@@ -230,17 +238,25 @@ def run_closed_loop(p1: float, cfg: HarqConfig, sigma: float,
                   quantile=quantile)
     n_round2 = n_outage = fallback = 0
     sums, sqsums = [], []
+    work = _work()
     for m, rng, g1, failed in batches:
-        g1 = g1[failed]
-        # in ascending order the table lookups of the rule walk its knots in
-        # turn (~3x faster); how many y normals round two draws depends on
-        # g1, but no normal's value does, so the law of the (g1, g2) pairs,
-        # and of the report, is unchanged
+        failed = np.flatnonzero(failed)
+        n = failed.size
+        # mode="clip" writes into out directly; np.compress would buffer it
+        g1 = g1.take(failed, out=work.g1[:n], mode="clip")
+        # the ascending order fixes which normals pair with which g1, so it
+        # fixes every report's bits; how many y normals round two draws
+        # depends on g1, but no normal's value does, so the law of the
+        # (g1, g2) pairs, and of the report, is that of any order
         g1.sort()
-        n = g1.size
-        p2 = rule(g1, p1)
-        if rule.jensen:
-            fallback += np.count_nonzero(rule.jensen_fallback_mask(g1, p1))
+        p2 = work.p2[:n]
+        # the rule is elementwise, so slices give its values bit for bit
+        for lo in range(0, n, _RULE_SLICE):
+            part = g1[lo:lo + _RULE_SLICE]
+            p2[lo:lo + _RULE_SLICE] = rule(part, p1)
+            if rule.jensen:
+                fallback += np.count_nonzero(
+                    rule.jensen_fallback_mask(part, p1))
         n_round2 += n
         n_outage += _round_two(rng, g1, sigma, p1, p2, cfg.protocol, cfg.rate)
         # every trial spends p1, a failed one p2 on top

@@ -355,8 +355,24 @@ class TestHermiteTable:
         assert q(grid).shape == grid.shape
         with_nan = np.array([0.3, np.nan, 7.0])
         np.testing.assert_array_equal(q(with_nan), expected(with_nan))
-        assert np.isnan(q(with_nan)[1])
+        assert np.isnan(q(with_nan)[1]) and np.isnan(q(np.nan))
         assert float(q(2.0)) == float(expected(2.0))
+
+    def test_piece_index_is_the_searched_one(self):
+        # the index is computed from the even spacing of the log knots;
+        # rounding can put it one piece off only next to a knot, where a
+        # search and the computed index must still agree
+        x = channel._LOG_KNOTS
+        t = np.concatenate((
+            x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
+            np.log([1e-9, 1e-12, G_MAX, np.nextafter(G_MAX, np.inf), 60.0,
+                    1e3]),
+            [0.0, np.inf, -np.inf],
+            np.random.default_rng(31).uniform(x[0] - 1, x[-1] + 1, 10**6)))
+        searched = np.clip(np.searchsorted(x, t, side="right") - 1, 0,
+                           x.size - 2)
+        np.testing.assert_array_equal(channel._piece_index(x, t), searched)
+        assert channel._piece_index(x, x[7]) == 7   # a scalar t
 
     @pytest.mark.parametrize("eps,sigma", [(1e-3, 0.8), (1e-5, 0.5),
                                            (0.1, 0.3), (1e-3, 0.02)])

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -272,6 +273,23 @@ class TestWorkArrays:
             run(100_000, seed, None)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         assert faults < 100
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_warm_closed_loop_peak_stays_small(self, qcache, protocol):
+        # the power rule runs on slices of the batch's round-two gains and
+        # writes into a work array: 1.2 MiB traced at mc-verify's point,
+        # where the rule on a whole batch's ~54 000 failures took 4.25 MiB
+        q = qcache.get(1e-3, 0.8)
+        cfg = HarqConfig(protocol, 1.0, 1e-3)
+        run_closed_loop(1.0, cfg, 0.8, n_trials=100_000, seed=1, quantile=q)
+        tracemalloc.start()
+        try:
+            run_closed_loop(1.0, cfg, 0.8, n_trials=100_000, seed=2,
+                            quantile=q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 2**20
 
 
 class TestBatchStreams:
