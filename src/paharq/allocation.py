@@ -62,6 +62,9 @@ _EDGES = np.concatenate(([0.0], QUANTILE_KNOTS[0] * 2.0 ** np.arange(-14, 0),
 # brentq's tolerance on log p1: 1e-3 dB
 _TOL_LOG_P1 = 1e-3 * (math.log(10.0) / 10.0)
 _P1_FLOOR = 1e-3
+# rounds of the adaptive rule: 3^-40 of a range is below a double's
+# resolution
+_MAX_SPLITS = 40
 
 
 class ClosedFormDomainError(PaharqError, ValueError):
@@ -78,7 +81,7 @@ class BracketError(PaharqError, RuntimeError):
 
 
 class QuadratureError(PaharqError, RuntimeError):
-    """The averaged-power integral did not reach a usable error estimate."""
+    """An adaptive integral did not converge in _MAX_SPLITS rounds."""
 
 
 @dataclass(frozen=True)
@@ -110,11 +113,10 @@ def avg_power_given_p1(p1: float, cfg: HarqConfig, sigma: float,
                        method: QuantileMethod = QuantileMethod.EXACT,
                        quantile: GainQuantile | None = None) -> float:
     """Expected total power p1 + E[P2(g1); round one fails]: p1 plus
-    _integral's value, QuadratureError if its error estimate exceeds
-    1e-6 max(value, p1).  For INR with the ASYMPTOTIC method the integrand
-    keeps the Jensen numerator floored at zero (the convention whose
-    integral the closed form reproduces; the simulator-side fallback is a
-    separate choice).
+    _integral's value, held to 1e-6 max(|value|, p1).  For INR with the
+    ASYMPTOTIC method the integrand keeps the Jensen numerator floored at
+    zero (the convention whose integral the closed form reproduces; the
+    simulator-side fallback is a separate choice).
     """
     if not p1 > 0:
         raise ValueError(f"p1 must be > 0, got {p1}")
@@ -138,34 +140,63 @@ def _gauss_kronrod(lo, hi, integrand):
     return kronrod, np.abs(kronrod - f[..., 1::2] @ _WG)
 
 
+def _adaptive_gauss_kronrod(edges, integrands, tolerance):
+    """The integrals of e^-x integrands(x) over [edges[0], edges[-1]], one
+    per row of integrands' stack, by QUADPACK's QAG strategy with thirds
+    for halves: each round applies _gauss_kronrod to every open panel (at
+    first those between edges) and stops once each row's summed estimate
+    is within its bound in tolerance(integrals), or once no panel's
+    estimate exceeds its width's share of a bound; otherwise it closes the
+    panels within their shares and splits the others into thirds.  None
+    after _MAX_SPLITS rounds."""
+    lo, hi = edges[:-1], edges[1:]
+    width = edges[-1] - edges[0]
+    done = done_err = 0.0       # the closed panels' integrals and estimates
+    for _ in range(_MAX_SPLITS):
+        kronrod, err = _gauss_kronrod(lo, hi, integrands)
+        total = done + kronrod.sum(axis=1)
+        tol = np.array(tolerance(total.tolist()))
+        # `>`, so that a NaN estimate returns at once
+        if not (done_err + err.sum(axis=1) > tol).any():
+            return total
+        split = (err > tol[:, None] * ((hi - lo) / width)).any(axis=0)
+        if not split.any():
+            return total
+        done = done + kronrod[:, ~split].sum(axis=1)
+        done_err = done_err + err[:, ~split].sum(axis=1)
+        lo, hi = lo[split], hi[split]
+        third = (hi - lo) / 3.0
+        lo, hi = (np.concatenate((lo, lo + third, hi - third)),
+                  np.concatenate((lo + third, hi - third, hi)))
+    return None
+
+
 def _integral(rule: P2Rule, integrand, p1: float, base: float) -> float:
     """The integral of e^-g1 integrand(g1, p1), with integrand `rule` or
     `rule.slope`, over [0, min(theta/p1, G_MAX)].
 
-    A 7/15-point Gauss-Kronrod rule on fixed panels (_EDGES: 0, halvings of
-    the first table knot, then the exact quantile table's knots), clipped
-    at the upper limit, so no panel straddles a knot of the piecewise-cubic
+    _adaptive_gauss_kronrod from fixed panels (_EDGES: 0, halvings of the
+    first table knot, then the exact quantile table's knots), clipped at
+    the upper limit, so no panel straddles a knot of the piecewise-cubic
     table; where the rule's numerator is INR's Jensen one, one more edge
     sits at its kink theta1/p1.  Without a kink that edge adds a zero-width
     panel at the upper limit, kept because the panel count sets the order
-    of the sums.  The summed |Kronrod - Gauss| panel differences are the
-    error estimate; QuadratureError if it exceeds 1e-6 max(|value|, base).
+    of the sums.  The bound on the summed |Kronrod - Gauss| estimates is
+    1e-6 max(|value|, base); QuadratureError if the integrator gives up.
     """
     cfg = rule.cfg
     g_hi = min(cfg.theta / p1, G_MAX)
     split = min(cfg.theta1 / p1, g_hi) if rule.jensen else g_hi
     edges = _EDGES[:int(np.searchsorted(_EDGES, g_hi)) + 1]
     edges = np.sort(np.append(np.minimum(edges, g_hi), split))
-    kronrod, err = _gauss_kronrod(edges[:-1], edges[1:],
-                                  lambda x: integrand(x, p1))
-    val = kronrod.sum()
-    err = err.sum()
-    if err > 1e-6 * max(abs(val), base):
+    val = _adaptive_gauss_kronrod(
+        edges, lambda x: integrand(x, p1)[None],
+        lambda total: [1e-6 * max(abs(total[0]), base)])
+    if val is None:
         raise QuadratureError(
-            f"integral error estimate {err:.3g} too large for value "
-            f"{val:.6g} (p1={p1:.6g}, sigma={rule.sigma}, "
-            f"method={rule.method.value})")
-    return float(val)
+            f"integral not converged after {_MAX_SPLITS} rounds (p1={p1:.6g}, "
+            f"sigma={rule.sigma}, method={rule.method.value})")
+    return float(val[0])
 
 
 def closed_form_avg_power(p1: float, cfg: HarqConfig, sigma: float) -> float:

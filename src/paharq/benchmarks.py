@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .allocation import QuadratureError, _gauss_kronrod
+from .allocation import QuadratureError, _adaptive_gauss_kronrod
 from .channel import _check_sigma, cond_cdf_g2
 from .harq import PaharqError, Protocol, theta, theta1
 from .special import brentq
@@ -21,9 +21,6 @@ from .special import brentq
 # of order u = theta/P where u is small
 _OUTAGE_RTOL = 1e-11
 _OUTAGE_ATOL = 1e-14
-# panel splits into thirds: 3^-40 of the range is below a double's
-# resolution
-_MAX_SPLITS = 40
 
 
 class InfeasibleError(PaharqError, RuntimeError):
@@ -93,22 +90,18 @@ def open_loop_outage_exact(P: float, rate: float, sigma: float,
     mutual-information condition P(g2 < (theta - g1 P) / ((1 + g1 P) P) | g1).
     Reference implementation for validating both the closed forms and the
     simulator.  The integral of e^-g1 times the CDF over
-    [0, min(theta/P, 745)], beyond which e^-g1 underflows, is adaptive, on
-    the allocation's 7/15-point Gauss-Kronrod rule.  Each round evaluates
-    the CDF at the nodes of every open panel in one array call, closes the
-    panels whose |Kronrod - Gauss| estimate is within their length's share
-    of the tolerance and splits the others into thirds; it stops once the
-    summed estimates are within the tolerance.  RTD starts from one panel;
-    INR, whose threshold moves on the scale of 1 + g1 P, from three on
-    which ln(1 + g1 P) grows by rate/3 each.  At small sigma the CDF falls
-    from 1 to 0 near the middle of the range (of g1 for RTD, of
-    ln(1 + g1 P) for INR), and a panel edge there would hide the fall from
-    the nodes of both neighbours: thirds never put one there.  The
-    integral is divided by the same rule's integral of e^-g1 on the same
-    panels, the round-one failure probability 1 - e^-u (held to 1e-11
-    relative), so a CDF of one gives exactly one.  The quotient is held to
-    max(1e-11 outage, 1e-14 (1 - e^-u)).  QuadratureError if a panel needs
-    more than 40 splits; clamped to [0, 1].
+    [0, min(theta/P, 745)], beyond which e^-g1 underflows, is
+    allocation._adaptive_gauss_kronrod's.  RTD starts from one panel; INR,
+    whose threshold moves on the scale of 1 + g1 P, from three on which
+    ln(1 + g1 P) grows by rate/3 each.  At small sigma the CDF falls from 1
+    to 0 near the middle of the range (of g1 for RTD, of ln(1 + g1 P) for
+    INR), and a panel edge there would hide the fall from the nodes of both
+    neighbours: thirds never put one there.  The integral is divided by the
+    same rule's integral of e^-g1 on the same panels, the round-one failure
+    probability 1 - e^-u (held to 1e-11 relative), so a CDF of one gives
+    exactly one.  The quotient is held to max(1e-11 outage,
+    1e-14 (1 - e^-u)).  QuadratureError if that takes more than 40 rounds;
+    clamped to [0, 1].
     """
     _check(P, sigma)
     th = theta(rate)
@@ -128,34 +121,18 @@ def open_loop_outage_exact(P: float, rate: float, sigma: float,
         out = np.ones((2,) + x.shape)
         out[0] = cond_cdf_g2(arg(x), x, sigma)
         return out
-    lo, hi = edges[:-1], edges[1:]
-    # integrals of the CDF and of 1 over the closed panels, and their
-    # error estimates
-    val = fail = val_err = fail_err = 0.0
-    for _ in range(_MAX_SPLITS):
-        kronrod, err = _gauss_kronrod(lo, hi, integrands)
-        v, f = kronrod.sum(axis=1).tolist()
-        ev, ef = err.sum(axis=1).tolist()
-        tol_val = max(_OUTAGE_RTOL * (val + v), _OUTAGE_ATOL * (fail + f) ** 2)
-        tol_fail = _OUTAGE_RTOL * (fail + f)
-        split = None
-        if val_err + ev > tol_val or fail_err + ef > tol_fail:
-            share = (hi - lo) / b
-            split = (err[0] > tol_val * share) | (err[1] > tol_fail * share)
-        if split is None or not split.any():
-            return min(max((val + v) / (fail + f), 0.0), 1.0)
-        v, f = kronrod[:, ~split].sum(axis=1).tolist()
-        ev, ef = err[:, ~split].sum(axis=1).tolist()
-        val, fail = val + v, fail + f
-        val_err, fail_err = val_err + ev, fail_err + ef
-        lo, hi = lo[split], hi[split]
-        third = (hi - lo) / 3.0
-        lo, hi = (np.concatenate((lo, lo + third, hi - third)),
-                  np.concatenate((lo + third, hi - third, hi)))
-    raise QuadratureError(
-        f"open-loop outage integral not converged after {_MAX_SPLITS} "
-        f"splits (P={P:.6g}, rate={rate}, sigma={sigma}, "
-        f"protocol={protocol.value})")
+
+    def tolerance(total):   # the outage's and the failure probability's
+        val, fail = total
+        return (max(_OUTAGE_RTOL * val, _OUTAGE_ATOL * fail ** 2),
+                _OUTAGE_RTOL * fail)
+    total = _adaptive_gauss_kronrod(edges, integrands, tolerance)
+    if total is None:
+        raise QuadratureError(
+            f"open-loop outage integral not converged (P={P:.6g}, "
+            f"rate={rate}, sigma={sigma}, protocol={protocol.value})")
+    val, fail = total.tolist()
+    return min(max(val / fail, 0.0), 1.0)
 
 
 def open_loop_round_power(target_eps: float, rate: float, sigma: float,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate, special
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 from paharq import allocation, harq
 from paharq.allocation import (
@@ -154,26 +154,54 @@ class TestVectorObjective:
             assert value == pytest.approx(
                 closed_form_avg_power(p1, c, 0.8), rel=1e-9)
 
-    def test_quadrature_error_on_jump_inside_panel(self):
-        smooth = GainQuantile(1e-3, 0.8, QuantileMethod.ASYMPTOTIC)
+    class JumpQuantile:
+        """The asymptotic quantile, times factor above a point between two
+        table knots, inside one panel of the objective."""
+        eps, sigma, method = 1e-3, 0.8, QuantileMethod.EXACT
+        jump = math.sqrt(QUANTILE_KNOTS[400] * QUANTILE_KNOTS[401])
 
-        class JumpQuantile:
-            eps, sigma, method = 1e-3, 0.8, QuantileMethod.EXACT
+        def __init__(self, factor):
+            self.factor = factor
+            self.smooth = GainQuantile(1e-3, 0.8, QuantileMethod.ASYMPTOTIC)
 
-            def __init__(self, factor):
-                self.factor = factor
+        def __call__(self, g1):
+            return np.where(g1 < self.jump, 1.0, self.factor) * self.smooth(g1)
 
-            def __call__(self, g1):
-                # doubles between two table knots, inside one panel
-                jump = math.sqrt(QUANTILE_KNOTS[400] * QUANTILE_KNOTS[401])
-                return np.where(g1 < jump, 1.0, self.factor) * smooth(g1)
-
+    def test_jump_inside_panel_converges(self):
+        # the panel holding the jump fails its share of the tolerance and is
+        # split into thirds until the estimate meets its bound
         c = cfg()
-        assert avg_power_given_p1(1.0, c, 0.8, quantile=JumpQuantile(1.0)) \
+        assert avg_power_given_p1(1.0, c, 0.8,
+                                  quantile=self.JumpQuantile(1.0)) \
             == pytest.approx(avg_power_given_p1(
                 1.0, c, 0.8, QuantileMethod.ASYMPTOTIC), rel=1e-14)
-        with pytest.raises(QuadratureError, match="error estimate"):
-            avg_power_given_p1(1.0, c, 0.8, quantile=JumpQuantile(2.0))
+        quantile = self.JumpQuantile(2.0)
+        rule = P2Rule(c, 0.8, jensen_fallback=False, quantile=quantile)
+        reference, _ = integrate.quad(
+            lambda g: math.exp(-g) * float(rule(np.array([g]), 1.0)[0]),
+            0.0, min(c.theta, 50.0), points=[quantile.jump],
+            epsabs=0.0, epsrel=1e-12, limit=200)
+        assert avg_power_given_p1(1.0, c, 0.8, quantile=quantile) \
+            == pytest.approx(1.0 + reference, rel=1e-6)
+
+    def test_nan_estimate_returns_at_once(self, monkeypatch):
+        rounds = []
+        rule = allocation._gauss_kronrod
+
+        def counted(*args):
+            rounds.append(args)
+            return rule(*args)
+        monkeypatch.setattr(allocation, "_gauss_kronrod", counted)
+        val = allocation._adaptive_gauss_kronrod(
+            np.array([0.0, 1.0]), lambda x: np.full((1,) + x.shape, np.nan),
+            lambda total: [1e-6])
+        assert np.isnan(val).all() and len(rounds) == 1
+
+    def test_quadrature_error_when_rounds_run_out(self, monkeypatch):
+        monkeypatch.setattr(allocation, "_MAX_SPLITS", 1)
+        with pytest.raises(QuadratureError, match="not converged"):
+            avg_power_given_p1(1.0, cfg(), 0.8,
+                               quantile=self.JumpQuantile(2.0))
 
 
 class TestOneInBillionTarget:
@@ -527,13 +555,27 @@ def test_numeric_asymptotic_matches_closed_form_on_grid(sigma, eps):
 
 
 @pytest.mark.parametrize("protocol", list(Protocol))
-def test_numeric_weibull_fails_near_antenna_alignment(protocol):
+def test_numeric_weibull_solves_near_antenna_alignment(protocol):
     # at sigma = 0.0224 the Weibull scale underflows from g1 ~ 0.16, inside
-    # a quadrature panel: the round-two power drops to 0 there, the error
-    # estimate stays above its bound, and every solve ends in
-    # QuadratureError (README, Known limitations)
+    # a quadrature panel, and the round-two power drops to 0 there: the
+    # panel is split until the drop is resolved, and the optimum's average
+    # power matches quad's integral at its p1, with the drop as a break
+    # point (README, Known limitations)
+    sigma = 0.0224
     for eps in (1e-5, 1e-3, 1e-1):
+        quantile = GainQuantile(eps, sigma, QuantileMethod.WEIBULL)
+        drop = brentq(lambda g: np.isinf(quantile(g)) - 0.5, 1e-3, 1.0,
+                      xtol=1e-15)
         for rate in (0.5, 2.0, 20.0):
-            with pytest.raises(QuadratureError):
-                optimal_p1_numeric(cfg(protocol, rate, eps), 0.0224,
-                                   QuantileMethod.WEIBULL)
+            c = cfg(protocol, rate, eps)
+            solution = optimal_p1_numeric(c, sigma, QuantileMethod.WEIBULL)
+            p1 = solution.p1
+            rule = P2Rule(c, sigma, QuantileMethod.WEIBULL,
+                          jensen_fallback=False)
+            hi = min(c.theta / p1, 50.0)
+            reference, _ = integrate.quad(
+                lambda g: math.exp(-g) * float(rule(np.array([g]), p1)[0]),
+                0.0, hi, points=[drop] if drop < hi else None,
+                epsabs=0.0, epsrel=1e-10, limit=400)
+            assert solution.avg_power == pytest.approx(p1 + reference,
+                                                       rel=1e-6)
