@@ -26,10 +26,12 @@ Reproducibility: every row carries the code version, and every Monte
 Carlo row its own seed, spawned from the master seed's SeedSequence on
 the row's coordinate string, so a row's bytes do not depend on grid
 composition.  Only fig4 and mc-verify draw samples, so only they take
---seed, which is required, and a `trials` config key.
-Exit codes: 0 all rows ok, 1 usage/config error, 2 some rows failed,
-were infeasible or hit an optimizer failure (annotated in the `error`
-column).
+--seed, which the parser requires, and a `trials` config key, which
+`_load_config` checks with the other config values.
+Exit codes: 0 all rows ok, 1 input error (a flag the parser rejects, or
+a ValueError, such as a bad config or eval input, that `main` reports in
+one `error:` line), 2 some rows failed, were infeasible or hit an
+optimizer failure (annotated in the `error` column).
 """
 
 import argparse
@@ -170,15 +172,23 @@ def _load_config(name: str, path: str | None) -> dict:
                                  f"(takes {', '.join(cfg)})")
             cfg[key] = _checked(key, value, cfg[key])
     # checked before any point runs (and builds its table): the names,
-    # mc-verify's round-one power, and its open-loop rates, which must be
-    # > 0, since at rate 0 every round one decodes and no open-loop check
-    # can measure anything, and must have a finite threshold
+    # mc-verify's round-one power, the trial count, stored as an int, and
+    # mc-verify's open-loop rates, which must be > 0, since at rate 0 every
+    # round one decodes and no open-loop check can measure anything, and
+    # must have a finite threshold
     for protocol in cfg.get("protocols", ()):
         Protocol(protocol)
     for method in cfg.get("methods", ()):
         _quantile_method(method)
     if "p1" in cfg and not cfg["p1"] > 0:
         raise ValueError(f"p1 must be > 0, got {float(cfg['p1'])}")
+    if "trials" in cfg:
+        trials = cfg["trials"]
+        if not (isinstance(trials, int) or trials.is_integer()):
+            raise ValueError(f"trials must be a finite integer, got {trials}")
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1, got {trials}")
+        cfg["trials"] = int(trials)
     for rate in cfg.get("open_loop_rate", ()):
         if not rate > 0:
             raise ValueError(f"rate must be > 0, got {rate}")
@@ -190,20 +200,23 @@ def _checked(key: str, value, default):
     """A loaded config value, checked against the JSON kind of its default:
     a number (not a boolean), a string, or an array of the kind of the
     default's elements, where one value stands for a one-element array;
-    an array is not empty."""
+    an array is not empty and repeats no value, since a repeated grid
+    coordinate would repeat its rows and their row seeds."""
     many = isinstance(default, list)
     items = value if many and isinstance(value, list) else [value]
     if not items:
         raise ValueError(f"config key {key!r} must be a non-empty array, "
                          "got []")
     text = isinstance(default[0] if many else default, str)
-    for item in items:
+    for i, item in enumerate(items):
         if isinstance(item, bool) or not isinstance(
                 item, str if text else (int, float)):
             kind = "a string" if text else "a number"
             raise ValueError(f"config key {key!r} must be {kind}"
                              f"{' or an array of them' if many else ''}, "
                              f"got {json.dumps(value)}")
+        if item in items[:i]:
+            raise ValueError(f"config key {key!r} repeats {json.dumps(item)}")
     return items if many else value
 
 
@@ -325,8 +338,7 @@ _HEADLINE = _Sweep("headline", (), ("eps", "rate", "sigma"), no_retx="first",
 # ---------------------------------------------------------------------------
 
 def _fig4_point(config, master_seed, rate, eps, protocol_name):
-    sigma = float(config["sigma"])
-    trials = int(config["trials"])
+    sigma, trials = float(config["sigma"]), config["trials"]
     protocol = Protocol(protocol_name)
     coords = dict(figure="fig4", eps=eps, rate=rate, sigma=sigma,
                   protocol=protocol.value)
@@ -375,7 +387,7 @@ def _closed_loop_rows(config, master_seed, protocol_name, eps, sigma):
     # the exact rule must hit the outage target, and the simulated average
     # power must match the quadrature objective
     rate, p1 = float(config["rate"]), float(config["p1"])
-    trials = int(config["trials"])
+    trials = config["trials"]
     protocol = Protocol(protocol_name)
     cfg = HarqConfig(protocol=protocol, rate=rate, eps=eps)
     coords = dict(figure="mc-verify", eps=eps, rate=rate, sigma=sigma,
@@ -414,7 +426,7 @@ def _closed_loop_rows(config, master_seed, protocol_name, eps, sigma):
 def _open_loop_rows(config, master_seed, protocol_name, rate, p_db):
     # closed-form outage vs simulation (score-style se), plus the
     # exact-quadrature cross-check and the average power identity
-    sigma, trials = float(config["open_loop_sigma"]), int(config["trials"])
+    sigma, trials = float(config["open_loop_sigma"]), config["trials"]
     protocol = Protocol(protocol_name)
     P = 10.0 ** (p_db / 10.0)
     seed = _row_seed(master_seed, "ol", protocol.value, rate, p_db)
@@ -450,7 +462,7 @@ def _open_loop_rows(config, master_seed, protocol_name, rate, p_db):
 
 
 def _no_retx_rows(config, master_seed, p_db, rate):
-    trials = int(config["trials"])
+    trials = config["trials"]
     P = 10.0 ** (p_db / 10.0)
     seed = _row_seed(master_seed, "nr", rate, p_db)
     coords = dict(figure="mc-verify", rate=rate, round_power=P,
@@ -492,22 +504,16 @@ _EVAL_OPTIONAL = ("branch", "method", "protocol")
 _EVAL_TYPES = {int: int, Protocol: Protocol, QuantileMethod: QuantileMethod}
 
 
-def _usage(message: str) -> SystemExit:
-    """Exit 1 after one `error:` line on stderr."""
-    print(f"error: {message}", file=sys.stderr)
-    return SystemExit(1)
-
-
 def run_eval(op_name: str, assignments: list[str]):
     """One row with the op's value as its estimate, or with the message of
-    the PaharqError it raised.  A bad op or assignment exits 1.
+    the PaharqError it raised.  A bad op or assignment raises ValueError.
 
     The op's parameters are its function's, in signature order, with a
     `cfg: HarqConfig` standing for the config's fields, all required.
     """
     if op_name not in _EVAL_OPS:
-        raise _usage(f"unknown operation {op_name!r}; available: "
-                     f"{', '.join(sorted(_EVAL_OPS))}")
+        raise ValueError(f"unknown operation {op_name!r}; available: "
+                         f"{', '.join(sorted(_EVAL_OPS))}")
     fn = getattr(sys.modules[__package__], op_name.replace("-", "_"))
     fixed = _EVAL_FIXED.get(op_name, {})
     own = inspect.signature(fn).parameters
@@ -523,19 +529,20 @@ def run_eval(op_name: str, assignments: list[str]):
     for item in assignments:
         key, _, raw = item.partition("=")
         if key not in takes:
-            raise _usage(f"unknown parameter {key!r} for {op_name} "
-                         f"(takes {list(takes)})")
+            raise ValueError(f"unknown parameter {key!r} for {op_name} "
+                             f"(takes {list(takes)})")
         if key in values:
-            raise _usage(f"{key} given twice")
+            raise ValueError(f"{key} given twice")
         kind = _EVAL_TYPES.get(takes[key].annotation, float)
         try:
             values[key] = kind(raw)
         except ValueError:
-            raise _usage(f"{key}={raw!r} is not a valid {kind.__name__}")
+            raise ValueError(
+                f"{key}={raw!r} is not a valid {kind.__name__}") from None
     missing = [name for name, p in takes.items() if name not in values
                and (p.default is p.empty or name not in own)]
     if missing:
-        raise _usage(f"{op_name} needs {', '.join(missing)}")
+        raise ValueError(f"{op_name} needs {', '.join(missing)}")
     kwargs = {k: v for k, v in values.items() if k in own}
     for name, param in own.items():
         if param.annotation is HarqConfig:
@@ -619,7 +626,7 @@ def _build_parser() -> argparse.ArgumentParser:
         command.add_argument("--workers", type=int, default=1,
                              help="worker processes for sweep points and checks")
         if flags == "seed":
-            command.add_argument("--seed", type=int,
+            command.add_argument("--seed", type=int, required=True,
                                  help="master seed for Monte Carlo columns")
     eval_parser = sub.add_parser("eval")
     eval_parser.add_argument("op")
@@ -647,17 +654,8 @@ def main(argv=None) -> int:
                 parser.error(f"--workers must be >= 1, got {args.workers}")
             config = _load_config(args.command, args.config)
             seed = getattr(args, "seed", None)
-            if flags == "seed":
-                if seed is None:
-                    parser.error(f"--seed is required for {args.command}")
-                if seed < 0:
-                    parser.error(f"the master seed must be >= 0, got {seed}")
-                trials = config["trials"]
-                if not (isinstance(trials, int) or trials.is_integer()):
-                    parser.error(f"trials must be a finite integer, "
-                                 f"got {trials}")
-                if trials < 1:
-                    parser.error(f"trials must be >= 1, got {trials}")
+            if flags == "seed" and seed < 0:
+                parser.error(f"the master seed must be >= 0, got {seed}")
             rows = _run(grid, config, seed, args.workers)
         _write_csv(rows, args.out)
     except (OSError, ValueError) as exc:

@@ -38,8 +38,7 @@ def test_eval_subcommand(tmp_path, capsys):
 
 
 def test_eval_unknown_op():
-    with pytest.raises(SystemExit):
-        main(["eval", "definitely-not-an-op"])
+    assert main(["eval", "definitely-not-an-op"]) == 1
 
 
 def test_headline_csv(tmp_path):
@@ -287,9 +286,7 @@ def test_usage_errors_exit_one(argv, capsys):
 def test_config_trials_below_one_exit_one(tmp_path, capsys, command, trials):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"trials": trials}))
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--seed", "1", "--config", str(config)])
-    assert exc.value.code == 1
+    assert main([command, "--seed", "1", "--config", str(config)]) == 1
     assert f"trials must be >= 1, got {trials}" in capsys.readouterr().err
 
 
@@ -303,9 +300,7 @@ def test_config_trials_not_an_integer_exit_one(tmp_path, capsys, no_table,
     # json.dumps writes the non-finite values as Infinity and NaN, which
     # json.load reads back
     config = dict(_SMALL_CONFIGS[command], trials=trials)
-    with pytest.raises(SystemExit) as exc:
-        _run_config(tmp_path, command, config)
-    assert exc.value.code == 1
+    assert _run_config(tmp_path, command, config) == 1
     err = capsys.readouterr().err
     assert err.count("error:") == 1
     assert f"error: trials must be a finite integer, got {shown}\n" in err
@@ -431,14 +426,15 @@ def test_runs_load_no_scipy_solver_module(tmp_path):
     # the package needs only numpy and scipy.special: its Brent root,
     # Hermite table and Gauss-Kronrod outage stand in for scipy.optimize,
     # scipy.interpolate and scipy.integrate, each of which would also load
-    # scipy.linalg and scipy.sparse and add ~0.3 s to every start-up
+    # scipy.linalg and scipy.sparse and add ~0.3 s to every start-up; nor
+    # may a run load scipy.stats, which the import alone leaves out
     env = dict(os.environ, PYTHONPATH=str(Path(paharq.__file__).parents[1]))
     code = f"""
 import json, sys
 import paharq.cli
 from paharq.cli import main
 BANNED = ("scipy.optimize", "scipy.integrate", "scipy.interpolate",
-          "scipy.linalg", "scipy.sparse")
+          "scipy.linalg", "scipy.sparse", "scipy.stats")
 def check(stage):
     loaded = sorted(m for m in sys.modules
                     if ".".join(m.split(".")[:2]) in BANNED)
@@ -575,9 +571,7 @@ def test_eval_matches_direct_call(op, assignments, direct, capsys):
 
 
 def test_eval_lists_every_op(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["eval", "definitely-not-an-op"])
-    assert exc.value.code == 1
+    assert main(["eval", "definitely-not-an-op"]) == 1
     listed = capsys.readouterr().err.split("available: ")[1].strip()
     assert listed.split(", ") == sorted(case[0] for case in _EVAL_CASES)
 
@@ -595,9 +589,7 @@ def test_eval_lists_every_op(capsys):
      "sigma=0.8", "p1=1"],                          # p1 is the output
 ])
 def test_eval_usage_errors_exit_one(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 1
+    assert main(argv) == 1
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
 
@@ -939,6 +931,22 @@ def test_empty_config_array_exits_one(tmp_path, capsys, command, key):
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("command,key,value", [
+    ("fig3", "methods", ["numeric-exact", "closed-form", "numeric-exact"]),
+    ("fig4", "protocols", ["rtd", "rtd"]),
+    ("mc-verify", "eps", [0.01, 0.01]),
+    # 2 and 2.0 print alike, so their rows would share one row seed
+    ("mc-verify", "open_loop_rate", [2, 2.0]),
+])
+def test_repeated_config_value_exits_one(tmp_path, capsys, no_table, command,
+                                         key, value):
+    config = dict(_SMALL_CONFIGS[command], **{key: value})
+    assert _run_config(tmp_path, command, config) == 1
+    assert capsys.readouterr().err == (
+        f"error: config key {key!r} repeats {json.dumps(value[-1])}\n")
+    assert not (tmp_path / "o.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["fig3", "fig5"])
 @pytest.mark.parametrize("names,message", [
     ({"methods": ["numeric-exact", "closed"]}, "unknown method 'closed'"),
@@ -971,9 +979,7 @@ def test_mc_verify_value_exits_one_before_any_table(tmp_path, capsys,
 
 
 def test_eval_repeated_parameter_exits_one(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["eval", "theta", "rate=2", "rate=3"])
-    assert exc.value.code == 1
+    assert main(["eval", "theta", "rate=2", "rate=3"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: rate given twice\n"
 

@@ -49,3 +49,13 @@ def test_every_command_gets_only_flags_it_takes(tmp_path, monkeypatch):
     assert set(parsed) == {"fig3", "fig4", "fig5", "headline", "mc-verify"}
     assert {command for command, args in parsed.items()
             if getattr(args, "seed", None) == 5} == {"fig4", "mc-verify"}
+
+
+def test_quick_overrides_are_valid_configs(tmp_path):
+    # a config error, such as a grid value given twice, would make the
+    # quick run exit 1
+    script = load_script()
+    for command, overrides in script.QUICK_OVERRIDES.items():
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(overrides))
+        cli._load_config(command, str(path))

@@ -4,7 +4,8 @@ Wall time on a shared machine cannot resolve a change of a few percent,
 but the work a run does is the same on every run: how many exact
 quantile tables it builds, how many Brent inversions and Marcum Q calls
 those take, how many objective integrals and Gauss-Kronrod panels it
-evaluates and how many points it looks up in the tables.  Each run below
+evaluates, how many points it looks up in the tables and how many
+random values its Monte Carlo samplers draw.  Each run below
 goes through `cli.main` with the package's functions wrapped where their
 callers look them up, and each count is held to at most what the code
 did when the bound was set.  A change that does less work lowers its
@@ -13,9 +14,10 @@ bound in the same commit; one that does more must say why.
 
 import json
 
+import numpy as np
 import pytest
 
-from paharq import allocation, channel, cli, special
+from paharq import allocation, channel, cli, montecarlo, special
 from paharq.channel import GainQuantile, QuantileMethod
 
 # one point of each subcommand that builds tables, integrates or simulates
@@ -35,23 +37,45 @@ _RUNS = {
 _BOUNDS = {
     "fig3": {"table_builds": 1, "brent_inversions": 514,
              "marcum_q1_calls": 7_462, "integrals": 30, "gk_panels": 11_282,
-             "table_points": 169_230},
+             "table_points": 169_230, "mc_draws": 0},
     # the Weibull quantile turns infinite inside a panel, which is split
     "fig3-weibull": {"table_builds": 0, "brent_inversions": 0,
                      "marcum_q1_calls": 0, "integrals": 21,
-                     "gk_panels": 8_583, "table_points": 0},
+                     "gk_panels": 8_583, "table_points": 0, "mc_draws": 0},
     "fig4": {"table_builds": 0, "brent_inversions": 0, "marcum_q1_calls": 0,
-             "integrals": 0, "gk_panels": 13, "table_points": 0},
+             "integrals": 0, "gk_panels": 13, "table_points": 0,
+             "mc_draws": 33_752},
     "fig5": {"table_builds": 1, "brent_inversions": 514,
              "marcum_q1_calls": 7_417, "integrals": 31, "gk_panels": 11_822,
-             "table_points": 177_330},
+             "table_points": 177_330, "mc_draws": 0},
     "headline": {"table_builds": 1, "brent_inversions": 514,
                  "marcum_q1_calls": 9_489, "integrals": 31,
-                 "gk_panels": 10_117, "table_points": 151_755},
+                 "gk_panels": 10_117, "table_points": 151_755, "mc_draws": 0},
     "mc-verify": {"table_builds": 2, "brent_inversions": 1_028,
                   "marcum_q1_calls": 14_924, "integrals": 2,
-                  "gk_panels": 920, "table_points": 177_880},
+                  "gk_panels": 920, "table_points": 177_880,
+                  "mc_draws": 1_188_690},
 }
+
+
+class _DrawCounter:
+    """A batch's generator that counts the values its exponential, normal
+    and uniform samplers return; fig4's one binomial count per batch
+    passes through uncounted."""
+
+    def __init__(self, rng, counts):
+        self._rng, self._counts = rng, counts
+
+    def __getattr__(self, name):
+        sampler = getattr(self._rng, name)
+        if name not in ("exponential", "standard_normal", "random"):
+            return sampler
+
+        def counted(*args, **kwargs):
+            values = sampler(*args, **kwargs)
+            self._counts["mc_draws"] += np.size(values)
+            return values
+        return counted
 
 
 def _counting(monkeypatch):
@@ -77,6 +101,10 @@ def _counting(monkeypatch):
     wrap(allocation, "_integral", "integrals")
     wrap(allocation, "_gauss_kronrod", "gk_panels", lambda lo, *_: lo.size)
     wrap(channel, "_hermite_eval", "table_points", lambda x, c, t: t.size)
+    # `_streams` looks the generator up at each call
+    batch_rng = montecarlo._batch_rng
+    monkeypatch.setattr(montecarlo, "_batch_rng",
+                        lambda *args: _DrawCounter(batch_rng(*args), counts))
     return counts
 
 
