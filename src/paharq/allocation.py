@@ -53,18 +53,26 @@ _XK = np.concatenate((-_XK_HALF, _XK_HALF[-2::-1]))
 _WK = np.concatenate((_WK_HALF, _WK_HALF[-2::-1]))
 _WG = np.concatenate((_WG_HALF, _WG_HALF[-2::-1]))
 
-# Panel edges of the average-power integral: 0, halvings of the first
-# table knot down to 2^-14 of it, then the table's knots.  The halvings
-# resolve the INR numerator's drop at g1 ~ 1/p1 for powers up to ~1e12.
-_EDGES = np.concatenate(([0.0], QUANTILE_KNOTS[0] * 2.0 ** np.arange(-14, 0),
-                         QUANTILE_KNOTS))
+
+@functools.cache
+def _edges(halvings: int) -> np.ndarray:
+    """Panel edges of the average-power integral: 0, `halvings` halvings
+    of the first table knot, then the table's knots.  At least 14
+    halvings, down to 6.1e-14, resolve the INR numerator's drop at
+    g1 ~ 1/p1 for powers up to ~1e12; _integral takes more above that."""
+    return np.concatenate(([0.0],
+                           QUANTILE_KNOTS[0] * 2.0 ** np.arange(-halvings, 0),
+                           QUANTILE_KNOTS))
+
 
 # brentq's tolerance on log p1: 1e-3 dB
 _TOL_LOG_P1 = 1e-3 * (math.log(10.0) / 10.0)
 _P1_FLOOR = 1e-3
 # rounds of the adaptive rule: 3^-40 of a range is below a double's
-# resolution
+# resolution; and its open panels per round, since where an estimate does
+# not shrink with its panel's width every panel splits every round
 _MAX_SPLITS = 40
+_MAX_PANELS = 2**17
 
 
 class ClosedFormDomainError(PaharqError, ValueError):
@@ -81,7 +89,8 @@ class BracketError(PaharqError, RuntimeError):
 
 
 class QuadratureError(PaharqError, RuntimeError):
-    """An adaptive integral did not converge in _MAX_SPLITS rounds."""
+    """An adaptive integral did not converge in _MAX_SPLITS rounds of at
+    most _MAX_PANELS open panels."""
 
 
 @dataclass(frozen=True)
@@ -148,11 +157,14 @@ def _adaptive_gauss_kronrod(edges, integrands, tolerance):
     is within its bound in tolerance(integrals), or once no panel's
     estimate exceeds its width's share of a bound; otherwise it closes the
     panels within their shares and splits the others into thirds.  None
-    after _MAX_SPLITS rounds."""
+    after _MAX_SPLITS rounds, or once a round would hold more than
+    _MAX_PANELS open panels."""
     lo, hi = edges[:-1], edges[1:]
     width = edges[-1] - edges[0]
     done = done_err = 0.0       # the closed panels' integrals and estimates
     for _ in range(_MAX_SPLITS):
+        if lo.size > _MAX_PANELS:
+            return None
         kronrod, err = _gauss_kronrod(lo, hi, integrands)
         total = done + kronrod.sum(axis=1)
         tol = np.array(tolerance(total.tolist()))
@@ -175,11 +187,13 @@ def _integral(rule: P2Rule, integrand, p1: float, base: float) -> float:
     """The integral of e^-g1 integrand(g1, p1), with integrand `rule` or
     `rule.slope`, over [0, min(theta/p1, G_MAX)].
 
-    _adaptive_gauss_kronrod from fixed panels (_EDGES: 0, halvings of the
-    first table knot, then the exact quantile table's knots), clipped at
-    the upper limit, so no panel straddles a knot of the piecewise-cubic
-    table; where the rule's numerator is INR's Jensen one, one more edge
-    sits at its kink theta1/p1.  Without a kink that edge adds a zero-width
+    _adaptive_gauss_kronrod from fixed panels (_edges: 0, halvings of the
+    first table knot down to the lesser of 2^-14 of it and ~1/(16 p1),
+    then the exact quantile table's knots), clipped at the upper limit, so
+    no panel straddles a knot of the piecewise-cubic table and INR's
+    numerator, which drops at g1 ~ 1/p1, is smooth on the first panel;
+    where the rule's numerator is INR's Jensen one, one more edge sits at
+    its kink theta1/p1.  Without a kink that edge adds a zero-width
     panel at the upper limit, kept because the panel count sets the order
     of the sums.  The bound on the summed |Kronrod - Gauss| estimates is
     1e-6 max(|value|, base); QuadratureError if the integrator gives up.
@@ -187,15 +201,18 @@ def _integral(rule: P2Rule, integrand, p1: float, base: float) -> float:
     cfg = rule.cfg
     g_hi = min(cfg.theta / p1, G_MAX)
     split = min(cfg.theta1 / p1, g_hi) if rule.jensen else g_hi
-    edges = _EDGES[:int(np.searchsorted(_EDGES, g_hi)) + 1]
+    edges = _edges(max(14, math.ceil(
+        math.log2(p1 * (16.0 * QUANTILE_KNOTS[0])))))
+    edges = edges[:int(np.searchsorted(edges, g_hi)) + 1]
     edges = np.sort(np.append(np.minimum(edges, g_hi), split))
     val = _adaptive_gauss_kronrod(
         edges, lambda x: integrand(x, p1)[None],
         lambda total: [1e-6 * max(abs(total[0]), base)])
     if val is None:
         raise QuadratureError(
-            f"integral not converged after {_MAX_SPLITS} rounds (p1={p1:.6g}, "
-            f"sigma={rule.sigma}, method={rule.method.value})")
+            f"integral not converged in {_MAX_SPLITS} rounds of at most "
+            f"{_MAX_PANELS} panels (p1={p1:.6g}, sigma={rule.sigma}, "
+            f"method={rule.method.value})")
     return float(val[0])
 
 

@@ -100,8 +100,9 @@ def open_loop_outage_exact(P: float, rate: float, sigma: float,
     same rule's integral of e^-g1 on the same panels, the round-one failure
     probability 1 - e^-u (held to 1e-11 relative), so a CDF of one gives
     exactly one.  The quotient is held to max(1e-11 outage,
-    1e-14 (1 - e^-u)).  QuadratureError if that takes more than 40 rounds;
-    clamped to [0, 1].
+    1e-14 (1 - e^-u)), which underflows to 0 near theta/P ~ 1e-160.
+    QuadratureError if that takes more than 40 rounds or 2^17 open panels
+    in one; clamped to [0, 1].
     """
     _check(P, sigma)
     th = theta(rate)

@@ -14,20 +14,19 @@ headline  power gains of the optimized schemes over no retransmission at
 eval      single-point evaluation of any registered operation
 mc-verify closed forms vs protocol-level simulation with z-scores
 
-The table `_COMMANDS` holds, per subcommand but eval, the flags it takes
-and its point grid: point functions and the config lists they run over,
-all run by `_run`.  The config is the subcommand's packaged
-configs/<name>.json with the --config keys over it.  fig3, fig5 and
-headline share one point function; their `_Sweep` data says what
-differs.  eval calls the package function named by its op, with the
-parameters read from its signature.
+The table `_COMMANDS` holds, per subcommand but eval, its point grid:
+point functions and the config lists they run over, all run by `_run`.
+The config is the subcommand's packaged configs/<name>.json with the
+--config keys over it.  fig3, fig5 and headline share one point
+function; their `_Sweep` data says what differs.  eval calls the package
+function named by its op, with the parameters read from its signature.
 
 Reproducibility: every row carries the code version, and every Monte
 Carlo row its own seed, spawned from the master seed's SeedSequence on
 the row's coordinate string, so a row's bytes do not depend on grid
-composition.  Only fig4 and mc-verify draw samples, so only they take
---seed, which the parser requires, and a `trials` config key, which
-`_load_config` checks with the other config values.
+composition.  Only fig4 and mc-verify, the `MC_COMMANDS`, draw samples,
+so only they take --seed, which the parser requires, and a `trials`
+config key, which `_load_config` checks with the other config values.
 Exit codes: 0 all rows ok, 1 input error (a flag the parser rejects, or
 a ValueError, such as a bad config or eval input, that `main` reports in
 one `error:` line), 2 some rows failed, were infeasible or hit an
@@ -492,15 +491,9 @@ _EVAL_OPS = (
     "open-loop-outage-exact", "open-loop-avg-power",
     "open-loop-required-power", "no-retx-required-power", "no-retx-outage",
 )
-# config fields an op sets itself: the protocol of a protocol's own rule
-_EVAL_FIXED = {
-    "p2-rtd": {"protocol": Protocol.RTD},
-    "p2-inr": {"protocol": Protocol.INR},
-}
-# the only defaulted function parameters an op takes; the others (the
-# Jensen fallback, a prebuilt table) stay at their defaults
-_EVAL_OPTIONAL = ("branch", "method", "protocol")
-# how a value is read, by annotation; any other parameter is a float
+# how a value is read, by annotation; any other parameter is a float.  An
+# op takes a defaulted parameter only if its annotation is a key here; the
+# others (the Jensen fallback, a prebuilt table) stay at their defaults
 _EVAL_TYPES = {int: int, Protocol: Protocol, QuantileMethod: QuantileMethod}
 
 
@@ -515,15 +508,12 @@ def run_eval(op_name: str, assignments: list[str]):
         raise ValueError(f"unknown operation {op_name!r}; available: "
                          f"{', '.join(sorted(_EVAL_OPS))}")
     fn = getattr(sys.modules[__package__], op_name.replace("-", "_"))
-    fixed = _EVAL_FIXED.get(op_name, {})
     own = inspect.signature(fn).parameters
     takes = {}
     for param in own.values():
         if param.annotation is HarqConfig:
-            takes.update((p.name, p) for p in
-                         inspect.signature(HarqConfig).parameters.values()
-                         if p.name not in takes and p.name not in fixed)
-        elif param.default is param.empty or param.name in _EVAL_OPTIONAL:
+            takes.update(inspect.signature(HarqConfig).parameters)
+        elif param.default is param.empty or param.annotation in _EVAL_TYPES:
             takes[param.name] = param
     values = {}
     for item in assignments:
@@ -539,15 +529,15 @@ def run_eval(op_name: str, assignments: list[str]):
         except ValueError:
             raise ValueError(
                 f"{key}={raw!r} is not a valid {kind.__name__}") from None
-    missing = [name for name, p in takes.items() if name not in values
-               and (p.default is p.empty or name not in own)]
+    missing = [name for name, p in takes.items()
+               if name not in values and p.default is p.empty]
     if missing:
         raise ValueError(f"{op_name} needs {', '.join(missing)}")
     kwargs = {k: v for k, v in values.items() if k in own}
     for name, param in own.items():
         if param.annotation is HarqConfig:
-            kwargs[name] = HarqConfig(**fixed, **{k: v for k, v in values.items()
-                                                 if k not in own})
+            kwargs[name] = HarqConfig(**{k: v for k, v in values.items()
+                                         if k not in own})
     row = _row(figure="eval", check=op_name)
     try:
         value = fn(**kwargs)
@@ -584,24 +574,22 @@ def _run(grid, config: dict, master_seed, workers: int):
     return [row for rows in nested for row in rows]
 
 
-# every subcommand but eval: the flags it adds to --config, --out and
-# --workers ("seed" for --seed), and its grid: point
-# functions, each called as fn(config, master seed, *coords) over the
-# product of its axes (config lists, or constants), outermost first
+# every subcommand but eval and its grid: point functions, each called as
+# fn(config, master seed, *coords) over the product of its axes (config
+# lists, or constants), outermost first
 _COMMANDS = {
-    "fig3": ("", [(partial(_sweep_point, _FIG3), _FIG3.grid)]),
-    "fig4": ("seed", [(_fig4_point, ("rate", "eps", "protocols"))]),
-    "fig5": ("", [(partial(_sweep_point, _FIG5), _FIG5.grid)]),
-    "headline": ("", [(partial(_sweep_point, _HEADLINE), ())]),
-    "mc-verify": ("seed", [
+    "fig3": [(partial(_sweep_point, _FIG3), _FIG3.grid)],
+    "fig4": [(_fig4_point, ("rate", "eps", "protocols"))],
+    "fig5": [(partial(_sweep_point, _FIG5), _FIG5.grid)],
+    "headline": [(partial(_sweep_point, _HEADLINE), ())],
+    "mc-verify": [
         (_closed_loop_rows, (_PROTOCOLS, "eps", "sigma")),
         (_open_loop_rows, (_PROTOCOLS, "open_loop_rate", "open_loop_power_db")),
-        (_no_retx_rows, ("open_loop_power_db", "open_loop_rate"))]),
+        (_no_retx_rows, ("open_loop_power_db", "open_loop_rate"))],
 }
 
-# the subcommands that draw Monte Carlo samples
-MC_COMMANDS = tuple(name for name, (flags, _) in _COMMANDS.items()
-                    if flags == "seed")
+# the subcommands that draw Monte Carlo samples, and so take --seed
+MC_COMMANDS = ("fig4", "mc-verify")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -619,13 +607,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="paharq",
         description="HARQ-based predictor-antenna power allocation experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (flags, _) in _COMMANDS.items():
+    for name in _COMMANDS:
         command = sub.add_parser(name)
         command.add_argument("--config", help="flat JSON config file")
         command.add_argument("--out", help="output CSV path (default: stdout)")
         command.add_argument("--workers", type=int, default=1,
                              help="worker processes for sweep points and checks")
-        if flags == "seed":
+        if name in MC_COMMANDS:
             command.add_argument("--seed", type=int, required=True,
                                  help="master seed for Monte Carlo columns")
     eval_parser = sub.add_parser("eval")
@@ -641,22 +629,22 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        if args.out and not os.access(os.path.dirname(args.out) or ".",
-                                      os.W_OK):
+        folder = os.path.dirname(args.out or "") or "."
+        if args.out and not (os.path.isdir(folder)
+                             and os.access(folder, os.W_OK)):
             raise OSError(f"cannot write {args.out}: no writable directory")
         if args.out and os.path.isdir(args.out):
             raise OSError(f"cannot write {args.out}: it is a directory")
         if args.command == "eval":
             rows = run_eval(args.op, args.assignments)
         else:
-            flags, grid = _COMMANDS[args.command]
             if args.workers < 1:
                 parser.error(f"--workers must be >= 1, got {args.workers}")
             config = _load_config(args.command, args.config)
             seed = getattr(args, "seed", None)
-            if flags == "seed" and seed < 0:
+            if args.command in MC_COMMANDS and seed < 0:
                 parser.error(f"the master seed must be >= 0, got {seed}")
-            rows = _run(grid, config, seed, args.workers)
+            rows = _run(_COMMANDS[args.command], config, seed, args.workers)
         _write_csv(rows, args.out)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -84,8 +84,8 @@ class HarqConfig:
         return theta1(self.rate)
 
 
-def _round_two_numerator(protocol: Protocol, cfg: HarqConfig, jensen: bool,
-                         g1, p1, jensen_fallback: bool):
+def _round_two_numerator(cfg: HarqConfig, jensen: bool, g1, p1,
+                         jensen_fallback: bool):
     """Numerator of P2 = numerator / quantile (p2_rtd and p2_inr give the
     formulas), and, when `jensen`, the mask of failed round-one points
     where INR's Jensen numerator is nonpositive (None otherwise).  There
@@ -97,7 +97,7 @@ def _round_two_numerator(protocol: Protocol, cfg: HarqConfig, jensen: bool,
     """
     snr = g1 * p1
     gap = cfg.theta - snr
-    if protocol is Protocol.RTD:
+    if cfg.protocol is Protocol.RTD:
         return gap, None
     num = gap / (1.0 + snr)
     if not jensen:
@@ -108,30 +108,31 @@ def _round_two_numerator(protocol: Protocol, cfg: HarqConfig, jensen: bool,
             else jensen), fallback
 
 
-def _p2(protocol, jensen, g1, p1, cfg, sigma, method, jensen_fallback=True):
+def _p2(protocol, jensen, g1, p1, rate, eps, sigma, method,
+        jensen_fallback=True):
     # pointwise: EXACT divides by the Brent inverse, not a table
+    cfg = HarqConfig(protocol, rate, eps)
     if not g1 >= 0:
         raise ValueError(f"g1 must be >= 0, got {g1}")
     if not p1 > 0:
         raise ValueError(f"p1 must be > 0, got {p1}")
-    num, _ = _round_two_numerator(protocol, cfg, jensen, g1, p1,
-                                  jensen_fallback)
+    num, _ = _round_two_numerator(cfg, jensen, g1, p1, jensen_fallback)
     if not num > 0.0:
         return 0.0
     return float(num / inv_cond_cdf_g2(cfg.eps, g1, sigma, method))
 
 
-def p2_rtd(g1: float, p1: float, cfg: HarqConfig, sigma: float,
+def p2_rtd(g1: float, p1: float, rate: float, eps: float, sigma: float,
            method: QuantileMethod = QuantileMethod.EXACT) -> float:
     """Round-two power for RTD: (theta - g1 p1) / quantile, 0 once decoded.
 
     With the ASYMPTOTIC quantile this is the closed-form rule
     (theta - g1 p1) exp(-g1 (1-sigma^2)/sigma^2) / (-sigma^2 log(1-eps)).
     """
-    return _p2(Protocol.RTD, False, g1, p1, cfg, sigma, method)
+    return _p2(Protocol.RTD, False, g1, p1, rate, eps, sigma, method)
 
 
-def p2_inr(g1: float, p1: float, cfg: HarqConfig, sigma: float,
+def p2_inr(g1: float, p1: float, rate: float, eps: float, sigma: float,
            method: QuantileMethod = QuantileMethod.EXACT,
            jensen_fallback: bool = True) -> float:
     """Round-two power for INR: (theta - g1 p1)/(1 + g1 p1) / quantile, 0
@@ -142,8 +143,8 @@ def p2_inr(g1: float, p1: float, cfg: HarqConfig, sigma: float,
     numerator is substituted if `jensen_fallback` is set, and zero is kept
     otherwise.
     """
-    return _p2(Protocol.INR, method is QuantileMethod.ASYMPTOTIC, g1, p1, cfg,
-               sigma, method, jensen_fallback)
+    return _p2(Protocol.INR, method is QuantileMethod.ASYMPTOTIC, g1, p1,
+               rate, eps, sigma, method, jensen_fallback)
 
 
 class P2Rule:
@@ -175,8 +176,8 @@ class P2Rule:
         self.quantile = quantile
 
     def _numerator(self, g1, p1):
-        return _round_two_numerator(self.cfg.protocol, self.cfg, self.jensen,
-                                    g1, p1, self.jensen_fallback)
+        return _round_two_numerator(self.cfg, self.jensen, g1, p1,
+                                    self.jensen_fallback)
 
     def jensen_fallback_mask(self, g1, p1) -> np.ndarray:
         """Failed-round-one points where the Jensen numerator is nonpositive."""

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from paharq import GainQuantile, QuantileMethod
+from paharq import GainQuantile, QuantileMethod, allocation
 
 settings.register_profile(
     "suite",
@@ -36,3 +36,16 @@ def qcache() -> QuantileCache:
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260808)
+
+
+@pytest.fixture
+def panel_cap(monkeypatch):
+    """Fail the test at once if a round of the adaptive Gauss-Kronrod rule
+    holds more than 2^17 open panels: an integral that splits every panel
+    every round would go on until memory runs out."""
+    rule = allocation._gauss_kronrod
+
+    def capped(lo, hi, integrand):
+        assert lo.size <= 2**17, f"a round of {lo.size} open panels"
+        return rule(lo, hi, integrand)
+    monkeypatch.setattr(allocation, "_gauss_kronrod", capped)

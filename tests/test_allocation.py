@@ -203,6 +203,36 @@ class TestVectorObjective:
             avg_power_given_p1(1.0, cfg(), 0.8,
                                quantile=self.JumpQuantile(2.0))
 
+    def test_quadrature_error_when_panels_run_out(self, monkeypatch):
+        # the first round alone holds more panels than that
+        monkeypatch.setattr(allocation, "_MAX_PANELS", 2)
+        with pytest.raises(QuadratureError, match="not converged"):
+            avg_power_given_p1(1.0, cfg(), 0.8, QuantileMethod.ASYMPTOTIC)
+
+
+class TestHighPowerOptimum:
+    """At high INR rates the optimal p1 exceeds 1e12, and the numerator's
+    drop at g1 ~ 1/p1, with the 1/g1 stretch of the slope above it, falls
+    below 2^-14 of the table's first knot.  Halving on down to ~1/(16 p1)
+    keeps the first panel below the drop; without it every panel of the
+    stretch splits every round, since its estimate does not shrink with
+    its width."""
+
+    # at rate 700 (1 + g1 p1)^2 overflows where the slope is negligible
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("rate,eps", [(100.0, 1e-3), (700.0, 0.1)])
+    def test_inr_weibull_converges(self, panel_cap, rate, eps):
+        sol = optimal_p1_numeric(cfg(Protocol.INR, rate, eps), 0.8,
+                                 QuantileMethod.WEIBULL)
+        assert sol.p1 > 1e12 and math.isfinite(sol.avg_power)
+        assert abs(sol.diagnostics["stationarity_residual"]) < 1e-3
+
+    def test_inr_exact_converges(self, panel_cap, qcache):
+        sol = optimal_p1_numeric(cfg(Protocol.INR, 100.0, 1e-3), 0.8,
+                                 quantile=qcache.get(1e-3, 0.8))
+        assert sol.p1 > 1e12 and math.isfinite(sol.avg_power)
+        assert abs(sol.diagnostics["stationarity_residual"]) < 1e-3
+
 
 class TestOneInBillionTarget:
     """At eps = 1e-9 the exact quantile still matches the closed forms for

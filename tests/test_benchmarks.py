@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from scipy import integrate
 from scipy.special import chndtr
 
-from paharq import benchmarks
+from paharq import QuadratureError, benchmarks
 from paharq.benchmarks import (
     InfeasibleError,
     no_retx_outage,
@@ -309,6 +309,13 @@ class TestOutageIntegrator:
             exact, rel=4e-5, abs=0.0)
         assert _outage_by_quad(P, 2.0, 1e-3, Protocol.RTD) != pytest.approx(
             exact, rel=1e-5, abs=0.0)
+
+    def test_underflowed_tolerance_raises(self, panel_cap):
+        # at theta/P ~ 6e-161 the bound 1e-14 (1 - e^-u)^2 underflows to 0,
+        # so no panel meets its share and each splits every round until the
+        # rule's panel bound stops it
+        with pytest.raises(QuadratureError, match="not converged"):
+            open_loop_outage_exact(1e160, 0.5, 1e-3, Protocol.INR)
 
     def test_one_array_call_of_the_cdf_per_round(self, monkeypatch):
         calls = []

@@ -400,6 +400,21 @@ class TestHermiteTable:
                                                  32769)))
         assert (np.diff(qcache.get(eps, sigma)(g1)) >= 0).all()
 
+    @pytest.mark.parametrize("sigma,rtol", [(0.02, 2.75e-6), (0.3, 1.1e-8),
+                                            (0.8, 6.2e-10)])
+    def test_error_below_first_knot(self, qcache, sigma, rtol):
+        # at and below the first knot the table returns its g1 = 0 value,
+        # off by the quantile's change over [0, g1]: at g1 = 1e-9 and
+        # eps = 1e-3, 2.5e-6 (sigma = 0.02), 1.0e-8 (0.3) and 5.6e-10 (0.8)
+        # relative, half that at g1 = 5e-10, and at most 1.8e-13 just above
+        # the knot; each bound is about 1.1 times that
+        q = qcache.get(1e-3, sigma)
+        for g1, bound in ((1e-9, rtol), (5e-10, rtol / 2),
+                          (QUANTILE_KNOTS[0] * (1.0 + 1e-7), 2.2e-13)):
+            np.testing.assert_allclose(q(g1),
+                                       _chndtrix_quantile(1e-3, sigma, g1),
+                                       rtol=bound, atol=0.0)
+
 
 class TestSamplers:
     def test_g1_moments(self, rng):

@@ -238,16 +238,19 @@ def test_zero_rate_exits_one(tmp_path, capsys, no_table, argv, config):
     (["eval", "theta", "rate=2"], "missing/x.csv"),
     (["eval", "theta", "rate=2"], "."),
     (["headline"], "."),
-], ids=["headline", "eval", "eval-directory", "headline-directory"])
+    (["headline"], "afile/x.csv"),
+], ids=["headline", "eval", "eval-directory", "headline-directory",
+        "headline-file"])
 def test_unwritable_out_exits_one(tmp_path, capsys, monkeypatch, no_table,
                                   argv, out):
-    # a missing directory, or an --out that is one, is found before any
-    # point runs
+    # a missing directory, a regular file in its place, or an --out that is
+    # a directory, is found before any point runs
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").touch()
     assert main(argv + ["--out", out]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert list(tmp_path.iterdir()) == []
+    assert [path.name for path in tmp_path.iterdir()] == ["afile"]
 
 
 def test_bad_config_exits_one(tmp_path):
@@ -502,8 +505,6 @@ def test_row_seed_pinned_value():
 
 # op, assignments, direct library call; defaults stay implicit where cheap
 # (method=exact, protocol=rtd, branch=0)
-_RTD_CFG = paharq.HarqConfig(paharq.Protocol.RTD, 2.0, 1e-2)
-_INR_CFG = paharq.HarqConfig(paharq.Protocol.INR, 2.0, 1e-2)
 _EVAL_CASES = [
     ("theta", ["rate=2"], lambda: paharq.theta(2.0)),
     ("theta1", ["rate=2"], lambda: paharq.theta1(2.0)),
@@ -521,10 +522,10 @@ _EVAL_CASES = [
     ("inv-cond-cdf-g2", ["eps=1e-2", "g1=1", "sigma=0.8"],
      lambda: paharq.inv_cond_cdf_g2(1e-2, 1.0, 0.8)),
     ("p2-rtd", ["g1=0.5", "rate=2", "eps=1e-2", "p1=3", "sigma=0.8"],
-     lambda: paharq.p2_rtd(0.5, 3.0, _RTD_CFG, 0.8)),
+     lambda: paharq.p2_rtd(0.5, 3.0, 2.0, 1e-2, 0.8)),
     ("p2-inr", ["g1=0.5", "rate=2", "eps=1e-2", "p1=3", "sigma=0.8",
                 "method=asymptotic"],
-     lambda: paharq.p2_inr(0.5, 3.0, _INR_CFG, 0.8,
+     lambda: paharq.p2_inr(0.5, 3.0, 2.0, 1e-2, 0.8,
                            paharq.QuantileMethod.ASYMPTOTIC)),
     ("avg-power-given-p1", ["p1=30", "protocol=inr", "rate=2", "eps=1e-2",
                             "sigma=0.8", "method=weibull"],
@@ -574,6 +575,52 @@ def test_eval_lists_every_op(capsys):
     assert main(["eval", "definitely-not-an-op"]) == 1
     listed = capsys.readouterr().err.split("available: ")[1].strip()
     assert listed.split(", ") == sorted(case[0] for case in _EVAL_CASES)
+
+
+# every op's parameters, read from its function's signature: all it takes,
+# in order, and those it needs, the ones without a default
+_EVAL_PARAMS = {
+    "theta": ("rate", "rate"),
+    "theta1": ("rate", "rate"),
+    "marcum-q1": ("s rho", "s rho"),
+    "marcum-q1-weibull": ("s rho", "s rho"),
+    "inv-marcum-q1": ("s p", "s p"),
+    "inv-marcum-q1-asymptotic": ("s eps", "s eps"),
+    "lambert-w": ("x branch", "x"),
+    "sigma-from-geometry": ("v delta f_c d_a", "v delta f_c d_a"),
+    "cond-cdf-g2": ("x g1 sigma", "x g1 sigma"),
+    "inv-cond-cdf-g2": ("eps g1 sigma method", "eps g1 sigma"),
+    "p2-rtd": ("g1 p1 rate eps sigma method", "g1 p1 rate eps sigma"),
+    "p2-inr": ("g1 p1 rate eps sigma method", "g1 p1 rate eps sigma"),
+    "avg-power-given-p1": ("p1 protocol rate eps sigma method",
+                           "p1 protocol rate eps sigma"),
+    "closed-form-avg-power": ("p1 protocol rate eps sigma",
+                              "p1 protocol rate eps sigma"),
+    "optimal-p1-closed-form": ("protocol rate eps sigma",
+                               "protocol rate eps sigma"),
+    "optimal-p1-numeric": ("protocol rate eps sigma method",
+                           "protocol rate eps sigma"),
+    "zeta-rtd-closed": ("P rate sigma", "P rate sigma"),
+    "zeta-inr-closed": ("P rate sigma", "P rate sigma"),
+    "open-loop-outage-exact": ("P rate sigma protocol", "P rate sigma"),
+    "open-loop-avg-power": ("P rate", "P rate"),
+    "open-loop-required-power": ("target_eps rate sigma protocol",
+                                 "target_eps rate sigma"),
+    "no-retx-required-power": ("target_eps rate", "target_eps rate"),
+    "no-retx-outage": ("P rate", "P rate"),
+}
+
+
+@pytest.mark.parametrize("op", cli._EVAL_OPS)
+def test_eval_parameters_pinned(op):
+    takes, needs = (names.split() for names in _EVAL_PARAMS[op])
+    with pytest.raises(ValueError) as unknown:
+        cli.run_eval(op, ["zzz=1"])
+    assert str(unknown.value) == (f"unknown parameter 'zzz' for {op} "
+                                  f"(takes {takes})")
+    with pytest.raises(ValueError) as missing:
+        cli.run_eval(op, [])
+    assert str(missing.value) == f"{op} needs {', '.join(needs)}"
 
 
 @pytest.mark.parametrize("argv", [

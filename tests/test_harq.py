@@ -56,46 +56,45 @@ class TestConfig:
             HarqConfig(Protocol.RTD, **values)
 
     def test_nan_gain_rejected_by_pointwise_rules(self):
-        cfg = HarqConfig(Protocol.RTD, rate=1.0, eps=1e-3)
         with pytest.raises(ValueError, match="^g1 must be >= 0"):
-            p2_rtd(math.nan, 1.0, cfg, 0.8)
+            p2_rtd(math.nan, 1.0, 1.0, 1e-3, 0.8)
 
     @pytest.mark.parametrize("fn", [p2_rtd, p2_inr])
     @pytest.mark.parametrize("p1", [0.0, -1.0, math.nan])
     def test_nonpositive_p1_rejected_by_pointwise_rules(self, fn, p1):
-        cfg = HarqConfig(Protocol.RTD, rate=1.0, eps=1e-3)
         with pytest.raises(ValueError, match=f"^p1 must be > 0, got {p1}$"):
-            fn(0.1, p1, cfg, 0.8)
+            fn(0.1, p1, 1.0, 1e-3, 0.8)
 
 
 # the round-one power of every rule below
 P1 = 2.0
-CFG_RTD = HarqConfig(Protocol.RTD, rate=2.0, eps=1e-3)
-CFG_INR = HarqConfig(Protocol.INR, rate=2.0, eps=1e-3)
+RATE, EPS = 2.0, 1e-3
+CFG_RTD = HarqConfig(Protocol.RTD, RATE, EPS)
+CFG_INR = HarqConfig(Protocol.INR, RATE, EPS)
 
 
 class TestP2Rtd:
     def test_zero_once_decoded(self):
         g_edge = CFG_RTD.theta / P1
-        assert p2_rtd(g_edge, P1, CFG_RTD, 0.8) == 0.0
-        assert p2_rtd(g_edge + 1.0, P1, CFG_RTD, 0.8) == 0.0
+        assert p2_rtd(g_edge, P1, RATE, EPS, 0.8) == 0.0
+        assert p2_rtd(g_edge + 1.0, P1, RATE, EPS, 0.8) == 0.0
 
     def test_sigma_one_closed_form(self):
         g1 = 0.5
         expected = (CFG_RTD.theta - g1 * P1) / (-math.log1p(-CFG_RTD.eps))
-        p2 = p2_rtd(g1, P1, CFG_RTD, 1.0, QuantileMethod.EXACT)
+        p2 = p2_rtd(g1, P1, RATE, EPS, 1.0, QuantileMethod.EXACT)
         assert p2 == pytest.approx(expected, rel=1e-9)
 
     def test_asymptotic_tracks_exact(self):
-        pe = p2_rtd(0.5, P1, CFG_RTD, 0.8, QuantileMethod.EXACT)
-        pa = p2_rtd(0.5, P1, CFG_RTD, 0.8, QuantileMethod.ASYMPTOTIC)
+        pe = p2_rtd(0.5, P1, RATE, EPS, 0.8, QuantileMethod.EXACT)
+        pa = p2_rtd(0.5, P1, RATE, EPS, 0.8, QuantileMethod.ASYMPTOTIC)
         assert pe == pytest.approx(6353.024865926266, rel=1e-9)
         assert pa == pytest.approx(pe, rel=1e-4)
 
     def test_outage_closure(self):
         # with the exact quantile, the retransmission outage equals eps
         for g1 in (0.0, 0.5, 1.5, 3.0):
-            p2 = p2_rtd(g1, P1, CFG_RTD, 0.8, QuantileMethod.EXACT)
+            p2 = p2_rtd(g1, P1, RATE, EPS, 0.8, QuantileMethod.EXACT)
             if p2 == 0.0:
                 continue
             gap = CFG_RTD.theta - g1 * P1
@@ -104,25 +103,25 @@ class TestP2Rtd:
 
     def test_nonincreasing_in_g1(self):
         g = np.linspace(0.0, CFG_RTD.theta / P1 * 0.999, 40)
-        vals = [p2_rtd(float(x), P1, CFG_RTD, 0.8) for x in g]
+        vals = [p2_rtd(float(x), P1, RATE, EPS, 0.8) for x in g]
         assert all(a >= b - 1e-9 for a, b in zip(vals, vals[1:]))
 
 
 class TestP2Inr:
     def test_zero_once_decoded(self):
         g_edge = CFG_INR.theta / P1
-        assert p2_inr(g_edge, P1, CFG_INR, 0.8) == 0.0
+        assert p2_inr(g_edge, P1, RATE, EPS, 0.8) == 0.0
 
     def test_sigma_one_closed_form(self):
         g1 = 0.5
         expected = (math.exp(CFG_INR.rate) / (1.0 + g1 * P1) - 1.0) \
             / (-math.log1p(-CFG_INR.eps))
-        p2 = p2_inr(g1, P1, CFG_INR, 1.0, QuantileMethod.EXACT)
+        p2 = p2_inr(g1, P1, RATE, EPS, 1.0, QuantileMethod.EXACT)
         assert p2 == pytest.approx(expected, rel=1e-9)
 
     def test_outage_closure(self):
         for g1 in (0.0, 0.5, 1.5, 3.0):
-            p2 = p2_inr(g1, P1, CFG_INR, 0.8, QuantileMethod.EXACT)
+            p2 = p2_inr(g1, P1, RATE, EPS, 0.8, QuantileMethod.EXACT)
             if p2 == 0.0:
                 continue
             gap = (CFG_INR.theta - g1 * P1) / (1.0 + g1 * P1)
@@ -131,15 +130,15 @@ class TestP2Inr:
 
     @given(st.floats(min_value=0.0, max_value=4.0))
     def test_never_above_rtd(self, g1):
-        assert (p2_inr(g1, P1, CFG_INR, 0.8)
-                <= p2_rtd(g1, P1, CFG_RTD, 0.8) + 1e-12)
+        assert (p2_inr(g1, P1, RATE, EPS, 0.8)
+                <= p2_rtd(g1, P1, RATE, EPS, 0.8) + 1e-12)
 
     def test_jensen_fallback_behaviour(self):
         # inside the failed region but past the simplified threshold
         g1 = (CFG_INR.theta1 / P1 + CFG_INR.theta / P1) / 2.0
-        with_fb = p2_inr(g1, P1, CFG_INR, 0.8, QuantileMethod.ASYMPTOTIC,
+        with_fb = p2_inr(g1, P1, RATE, EPS, 0.8, QuantileMethod.ASYMPTOTIC,
                          jensen_fallback=True)
-        without = p2_inr(g1, P1, CFG_INR, 0.8, QuantileMethod.ASYMPTOTIC,
+        without = p2_inr(g1, P1, RATE, EPS, 0.8, QuantileMethod.ASYMPTOTIC,
                          jensen_fallback=False)
         assert without == 0.0
         assert with_fb > 0.0
@@ -160,9 +159,9 @@ class TestP2Rule:
         vi = rule_i(g, P1)
         for i, g1 in enumerate(g):
             assert vr[i] == pytest.approx(
-                p2_rtd(float(g1), P1, CFG_RTD, 0.8), rel=3e-5)
+                p2_rtd(float(g1), P1, RATE, EPS, 0.8), rel=3e-5)
             assert vi[i] == pytest.approx(
-                p2_inr(float(g1), P1, CFG_INR, 0.8), rel=3e-5)
+                p2_inr(float(g1), P1, RATE, EPS, 0.8), rel=3e-5)
 
     @pytest.mark.parametrize("jensen_fallback", [True, False])
     @pytest.mark.parametrize("method", [QuantileMethod.WEIBULL,
@@ -173,8 +172,8 @@ class TestP2Rule:
         # theta/p1, where round one decodes
         g = np.array([0.0, 0.4, 1.0, 1.6, 2.0, 2.5, 3.0, 3.2, 4.0])
         for cfg, scalar in (
-                (CFG_RTD, lambda x: p2_rtd(x, P1, CFG_RTD, 0.8, method)),
-                (CFG_INR, lambda x: p2_inr(x, P1, CFG_INR, 0.8, method,
+                (CFG_RTD, lambda x: p2_rtd(x, P1, RATE, EPS, 0.8, method)),
+                (CFG_INR, lambda x: p2_inr(x, P1, RATE, EPS, 0.8, method,
                                            jensen_fallback))):
             rule = P2Rule(cfg, 0.8, method, jensen_fallback=jensen_fallback)
             np.testing.assert_array_equal(rule(g, P1),
@@ -188,7 +187,8 @@ class TestP2Rule:
         for cfg, fn in ((CFG_RTD, p2_rtd), (CFG_INR, p2_inr)):
             rule = P2Rule(cfg, 0.8, QuantileMethod.EXACT, quantile=q)
             np.testing.assert_allclose(rule(g, P1),
-                                       [fn(float(x), P1, cfg, 0.8) for x in g],
+                                       [fn(float(x), P1, RATE, EPS, 0.8)
+                                        for x in g],
                                        rtol=1e-12, atol=0.0)
 
     def test_nonnegative_and_zero_past_threshold(self, qcache):
@@ -216,7 +216,7 @@ class TestP2Rule:
             mask = rule.jensen_fallback_mask(g, P1)
             assert isinstance(mask, np.ndarray) and mask.shape == g.shape
             assert not mask.any()
-        assert all(fn(float(x), P1, cfg, 0.8, method) == 0.0 for x in g)
+        assert all(fn(float(x), P1, RATE, EPS, 0.8, method) == 0.0 for x in g)
 
     def test_fallback_mask_only_for_inr_asymptotic(self):
         g = np.array([1.6, 2.0, 2.5])  # between theta1/p1 and theta/p1
