@@ -240,8 +240,9 @@ def optimal_p1_closed_form(cfg: HarqConfig, sigma: float) -> PowerSolution:
 
     p1* = -m th / (W_{-1}(m^2/(c e) - 1/e) + 1).  Requires m^2/c < 1 so the
     Lambert argument stays in [-1/e, 0); otherwise ClosedFormDomainError.
-    The stationarity residual e^{-m th/p1}(m th/p1 + 1) - (1 - m^2/c) is
-    recorded in the diagnostics.
+    PaharqError where p1 or its average power overflows a float (RTD from
+    rate ~693 at eps 1e-5, sigma 0.8).  The stationarity residual
+    e^{-m th/p1}(m th/p1 + 1) - (1 - m^2/c) is recorded in the diagnostics.
     """
     _check_sigma(sigma)
     m = m_coefficient(sigma)
@@ -257,9 +258,14 @@ def optimal_p1_closed_form(cfg: HarqConfig, sigma: float) -> PowerSolution:
     p1 = -m * th / (w + 1.0)
     x = m * th / p1
     residual = math.exp(-x) * (x + 1.0) - (1.0 - ratio)
+    avg = closed_form_avg_power(p1, cfg, sigma)
+    if not (math.isfinite(p1) and math.isfinite(avg)):
+        raise PaharqError(
+            f"closed-form optimum not finite: p1={p1:.6g}, average power "
+            f"{avg:.6g} (rate={cfg.rate}, eps={cfg.eps}, sigma={sigma})")
     return PowerSolution(
         p1=p1,
-        avg_power=closed_form_avg_power(p1, cfg, sigma),
+        avg_power=avg,
         diagnostics={"stationarity_residual": residual},
     )
 

@@ -173,12 +173,17 @@ def no_retx_outage(P: float, rate: float) -> float:
 
 def no_retx_required_power(target_eps: float, rate: float) -> float:
     """Power meeting the outage target without retransmission:
-    theta / (-log(1 - eps)), for a rate > 0."""
+    theta / (-log(1 - eps)), for a rate > 0; ValueError where that power
+    overflows a float (rate ~698.3 at eps 1e-5, ~707.5 at eps 0.1)."""
     if not 0.0 < target_eps < 1.0:
         raise ValueError(f"target_eps must be in (0, 1), got {target_eps}")
     if not rate > 0:
         raise ValueError(f"rate must be > 0, got {rate}")
-    return theta(rate) / (-math.log1p(-target_eps))
+    power = theta(rate) / (-math.log1p(-target_eps))
+    if power == math.inf:
+        raise ValueError(f"rate {rate} is too large: its single-shot power "
+                         f"at eps {target_eps} overflows")
+    return power
 
 
 def _check(P: float, sigma: float) -> None:

@@ -342,6 +342,9 @@ def _fig4_point(config, master_seed, rate, eps, protocol_name):
     coords = dict(figure="fig4", eps=eps, rate=rate, sigma=sigma,
                   protocol=protocol.value)
     seed = _row_seed(master_seed, "fig4", eps, rate, protocol.value)
+    # before the Monte Carlo run: a single-shot power that overflows is an
+    # input error
+    no_retx = no_retx_required_power(eps, rate)
     rows = []
     with _error_row(rows, coords, method="closed-form", n_trials=trials,
                     seed=seed):
@@ -359,7 +362,6 @@ def _fig4_point(config, master_seed, rate, eps, protocol_name):
             outage_mc_se=report.cond_round2_se,
             n_denominator=report.n_round2, n_trials=trials, seed=seed,
             **coords))
-    no_retx = no_retx_required_power(eps, rate)
     rows.append(_row(method="no-retx", avg_power=no_retx,
                      avg_power_db=_db(no_retx), **coords))
     return rows

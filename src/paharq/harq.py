@@ -195,13 +195,17 @@ class P2Rule:
 
     def slope(self, g1, p1) -> np.ndarray:
         """dP2/dp1: the numerator's derivative (-g1, or -g1 (1+theta)/
-        (1+g1 p1)^2 for INR's exact numerator) over the quantile."""
+        (1+g1 p1)^2 for INR's exact numerator) over the quantile.  Where
+        (1+g1 p1)^2 overflows (p1 ~ 1e154 at rate 700) the quotient is
+        already its limit 0."""
         g1, p1 = np.asarray(g1, dtype=float), np.asarray(p1, dtype=float)
         cfg = self.cfg
         num, fallback = self._numerator(g1, p1)
         d = -g1
         if cfg.protocol is Protocol.INR:
             exact = fallback if self.jensen else True
-            d = np.where(exact, d * (1.0 + cfg.theta) / (1.0 + g1 * p1)**2, d)
+            with np.errstate(over="ignore"):
+                d = np.where(exact,
+                             d * (1.0 + cfg.theta) / (1.0 + g1 * p1)**2, d)
         with np.errstate(invalid="ignore"):
             return np.where(num > 0.0, d / self.quantile(g1), 0.0)

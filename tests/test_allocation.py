@@ -218,8 +218,9 @@ class TestHighPowerOptimum:
     stretch splits every round, since its estimate does not shrink with
     its width."""
 
-    # at rate 700 (1 + g1 p1)^2 overflows where the slope is negligible
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    # at rate 700 (1 + g1 p1)^2 overflows where the slope is already 0,
+    # which must not warn
+    @pytest.mark.filterwarnings("error:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("rate,eps", [(100.0, 1e-3), (700.0, 0.1)])
     def test_inr_weibull_converges(self, panel_cap, rate, eps):
         sol = optimal_p1_numeric(cfg(Protocol.INR, rate, eps), 0.8,

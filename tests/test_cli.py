@@ -736,6 +736,8 @@ def test_eval_input_without_float_value_exits_one(argv, message, capsys):
       "sigma=0.8"], "unreachable"),               # InfeasibleError
     (["optimal-p1-closed-form", "protocol=rtd", "rate=2", "eps=0.5",
       "sigma=0.5"], "closed form undefined"),     # ClosedFormDomainError
+    (["optimal-p1-closed-form", "protocol=rtd", "rate=709", "eps=0.1",
+      "sigma=0.8"], "closed-form optimum not finite"),    # p1 overflows
 ])
 def test_eval_library_error_becomes_row(argv, message, capsys):
     assert main(["eval", *argv]) == 2
@@ -904,6 +906,89 @@ def test_rate_past_threshold_overflow_exits_one(tmp_path, capsys, no_table,
     assert capsys.readouterr().err == (
         "error: rate 800.0 is too large: its SNR threshold overflows\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,config,rate,eps", [
+    (["fig3"], {"eps": [1e-5], "rate": [700.0], "sigma": 0.8,
+                "methods": ["closed-form"]}, 700.0, 1e-5),
+    (["headline"], {"rate": 700.0}, 700.0, 1e-5),
+    (["fig4", "--seed", "1"], {"eps": [1e-5], "rate": [700.0],
+                               "protocols": ["rtd"], "trials": 100},
+     700.0, 1e-5),
+    (["eval", "no-retx-required-power", "target_eps=0.1", "rate=709"], None,
+     709.0, 0.1),
+], ids=["fig3", "headline", "fig4", "eval"])
+def test_single_shot_power_overflow_exits_one(tmp_path, capsys, monkeypatch,
+                                              no_table, argv, config, rate,
+                                              eps):
+    # theta / -log(1 - eps) overflows below the rate where theta does
+    # (~698.3 at eps 1e-5, ~707.5 at eps 0.1): an input error, found
+    # before any table or Monte Carlo run
+    def simulate(*args, **kwargs):
+        raise AssertionError("ran the Monte Carlo simulator")
+    monkeypatch.setattr(cli, "run_open_loop_conditional", simulate)
+    out = tmp_path / "out.csv"
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: rate {rate} is too large: its single-shot power at eps "
+        f"{eps} overflows\n")
+    assert not out.exists()
+
+
+def test_closed_form_optimum_overflow_becomes_error_row(tmp_path, capsys):
+    # at rate 709 RTD's closed-form p1 overflows to inf, while INR's, on
+    # the threshold 2 (e^{rate/2} - 1), stays finite
+    config = {"v_kmh": [60.0], "d_a_wavelengths": [1.5], "rate": 709.0,
+              "methods": ["closed-form"]}
+    assert _run_config(tmp_path, "fig5", config) == 2
+    assert capsys.readouterr().err == ""
+    rtd, inr = read_csv(tmp_path / "o.csv")
+    assert rtd["protocol"] == "rtd" and rtd["p1"] == rtd["avg_power"] == ""
+    assert rtd["error"].startswith("closed-form optimum not finite: p1=inf")
+    assert inr["protocol"] == "inr" and inr["error"] == ""
+    assert math.isfinite(float(inr["p1"]))
+    assert math.isfinite(float(inr["avg_power"]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_fig3_inr_rate_700_solves(tmp_path, capsys, panel_cap):
+    # the optimal p1 ~ 6e153 puts the INR numerator's drop at g1 ~ 1/p1 far
+    # below the table's first knot, and (1 + g1 p1)^2 overflows in the
+    # slope where its quotient is already 0
+    methods = ["numeric-weibull", "numeric-asymptotic", "closed-form"]
+    config = {"eps": [0.1], "rate": [700.0], "sigma": 0.8,
+              "protocols": ["inr"], "methods": methods}
+    assert _run_config(tmp_path, "fig3", config) == 0
+    assert capsys.readouterr().err == ""
+    rows = read_csv(tmp_path / "o.csv")
+    assert [r["method"] for r in rows] == methods + ["no-retx"]
+    for r in rows[:3]:
+        assert r["error"] == ""
+        assert float(r["p1"]) > 1e152 and math.isfinite(float(r["avg_power"]))
+
+
+@pytest.mark.parametrize("config", [
+    # the conditional sampler's normals fall in their window |x| < B with
+    # probability w ~ 6e-5
+    {"eps": [1e-9], "rate": [0.5], "sigma": 0.8, "protocols": ["rtd"]},
+    # w ~ 0.9999: fig4 solves its power from the closed form, so a small
+    # sigma would narrow the window
+    {"eps": [0.99], "rate": [0.5], "sigma": 1.0, "protocols": ["inr"]},
+], ids=["narrow", "wide"])
+def test_fig4_at_both_ends_of_the_sampler_window(tmp_path, capsys, config):
+    # every one of the default 100,000 trials fails round one, and the
+    # simulated outage meets the exact one
+    assert _run_config(tmp_path, "fig4", config) == 0
+    assert capsys.readouterr().err == ""
+    closed, no_retx = read_csv(tmp_path / "o.csv")
+    assert closed["error"] == no_retx["error"] == ""
+    assert int(closed["n_denominator"]) == int(closed["n_trials"]) == 100_000
+    mc, se = float(closed["outage_mc"]), float(closed["outage_mc_se"])
+    assert abs(mc - float(closed["outage_exact"])) <= 3 * se + 1e-9
 
 
 def test_library_errors_share_one_base():
